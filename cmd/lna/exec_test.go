@@ -125,6 +125,42 @@ func TestCheckJSONIsCanonicalResponse(t *testing.T) {
 	}
 }
 
+// TestQualConfineKeepsScoping: well-typed programs whose lock pairs
+// straddle a let used after the unlock, or lock through names bound by
+// separate let-in scopes, analyze cleanly: confine inference must not
+// plant a scope that changes what a name means.
+func TestQualConfineKeepsScoping(t *testing.T) {
+	bins := binaries(t)
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"let_after.mc": `struct dev { l: lock; v: int; }
+fun f(d: ref dev): int {
+    spin_lock(&d->l);
+    let y = d->v;
+    spin_unlock(&d->l);
+    return y;
+}
+`,
+		"bound_in_range.mc": `struct dev { l: lock; v: int; }
+fun f(p: ref dev) {
+    let q = p in { spin_lock(&q->l); }
+    let q = p in { spin_unlock(&q->l); }
+}
+`,
+	} {
+		file := filepath.Join(dir, name)
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"qual", "confine"} {
+			stdout, stderr, code := run(t, bins["lna"], mode, file)
+			if code != service.ExitClean {
+				t.Errorf("lna %s %s: exit %d, want 0\n%s%s", mode, name, code, stdout, stderr)
+			}
+		}
+	}
+}
+
 // startServe launches `lna serve` on a free port and returns its base
 // URL plus a shutdown function that SIGTERMs the daemon and asserts a
 // clean drain.

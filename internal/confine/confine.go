@@ -15,11 +15,16 @@
 //     blocks are also tried, approximating the Section 6.2 algorithm
 //     of inserting confine? at every possible scope and keeping the
 //     outermost success.
-//  2. Re-run standard type checking (the planted program contains
-//     fresh cloned expressions), then alias-and-effect inference with
-//     the planted nodes marked optional, and solve. Each candidate
-//     succeeds iff its ρ and ρ′ remain distinct in the least
-//     solution.
+//     A range is only wrapped when that keeps every name resolving
+//     as before: no let of the range is used after it, and no name of
+//     the confined expression is bound inside it.
+//  2. Extend the first pass's standard typing to the planted program
+//     instead of checking it again: planting only wraps typed
+//     statements, so only the cloned confined expressions are new,
+//     and each takes the types and symbols of the occurrence it
+//     copies. Then run alias-and-effect inference with the planted
+//     nodes marked optional, and solve. Each candidate succeeds iff
+//     its ρ and ρ′ remain distinct in the least solution.
 //  3. Apply verdicts: failed candidates are spliced back out of the
 //     AST; successes are kept (marked Inferred), adjacent successful
 //     confines of the same expression are combined per the identity
@@ -58,8 +63,9 @@ type Options struct {
 	// checks its deadline cooperatively so a per-module timeout can
 	// abort a pathological system (see package faults).
 	Ctx context.Context
-	// Trace, when non-nil, records phase transitions (typecheck/
-	// infer/solve) for fault attribution in corpus runs.
+	// Trace, when non-nil, records phase transitions (confine.plant/
+	// confine.infer/confine.solve) for fault attribution in corpus
+	// runs.
 	Trace *faults.Trace
 	// SolverWorkers bounds the partitioned constraint solver's
 	// concurrency; <= 1 solves sequentially. Results are identical
@@ -72,9 +78,14 @@ type Options struct {
 	// MemoCounters, when non-nil, receives the solve's component
 	// reuse accounting (replayed vs freshly solved).
 	MemoCounters *solve.MemoCounters
-	// Imports supplies resolved import signatures for the
-	// re-typecheck of the planted program; it must match what the
-	// module was originally loaded with.
+	// Info is the standard-typing result of prog as it is on entry,
+	// which the caller has in hand from checking it. Planting extends
+	// it in place to the planted program instead of checking that
+	// again. nil checks prog first (against Imports).
+	Info *types.Info
+	// Imports supplies resolved import signatures for checking prog
+	// when Info is nil; it must match what the module was originally
+	// loaded with.
 	Imports types.ImportSigs
 	// ImportEffects supplies per-formal effect masks for imported
 	// functions ("pkg.fn"); nil havocs imported calls (see
@@ -102,40 +113,40 @@ type Result struct {
 // rewrites prog in place so that exactly the successful confines
 // remain (marked Inferred). It returns the analysis artifacts needed
 // by the flow-sensitive qualifier analysis: the rewritten program's
-// types.Info, the infer.Result whose maps cover the surviving nodes,
-// and the least solution.
+// types.Info (opts.Info itself when given, extended in place), the
+// infer.Result whose maps cover the surviving nodes, and the least
+// solution.
 func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (*Result, error) {
-	res := &Result{}
+	res := &Result{TInfo: opts.Info}
+	if res.TInfo == nil {
+		opts.Trace.Enter(faults.PhaseTypecheck)
+		res.TInfo = types.CheckWith(prog, diags, opts.Imports)
+		if diags.HasErrors() {
+			return res, fmt.Errorf("confine: program fails standard checking: %w", diags.Err())
+		}
+	}
 
-	// 1. Plant.
-	planter := &planter{general: opts.General}
+	// 1. Plant, extending the Info with the cloned expressions.
+	opts.Trace.Enter(faults.PhaseConfinePlant)
+	planter := &planter{general: opts.General, info: res.TInfo, planted: make(map[*ast.ConfineStmt]bool)}
 	for _, f := range prog.Funs {
 		planter.block(f.Body, nil)
 	}
 	res.Planted = len(planter.planted)
 
-	// 2. Re-typecheck the planted program and infer.
-	opts.Trace.Enter(faults.PhaseTypecheck)
-	res.TInfo = types.CheckWith(prog, diags, opts.Imports)
-	if diags.HasErrors() {
-		return res, fmt.Errorf("confine: planted program fails standard checking: %w", diags.Err())
-	}
-	opts.Trace.Enter(faults.PhaseInfer)
-	optional := make(map[*ast.ConfineStmt]bool, len(planter.planted))
-	for _, c := range planter.planted {
-		optional[c] = true
-	}
+	// 2. Infer over the planted program and solve.
+	opts.Trace.Enter(faults.PhaseConfineInfer)
 	res.Infer = infer.Run(res.TInfo, diags, infer.Options{
 		InferRestrictLets:     opts.Lets,
 		InferRestrictParams:   opts.Params,
-		OptionalConfines:      optional,
+		OptionalConfines:      planter.planted,
 		ImportEffects:         opts.ImportEffects,
 		LiberalRestrictEffect: true, // inference uses the §5 semantics
 	})
 	if res.Infer.InternalErrors > 0 {
 		return res, fmt.Errorf("confine: inference failed on the planted program: %w", diags.Err())
 	}
-	opts.Trace.Enter(faults.PhaseSolve)
+	opts.Trace.Enter(faults.PhaseConfineSolve)
 	res.Solution = solve.SolveOpts(opts.Ctx, res.Infer.Sys, solve.Options{
 		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
 	})
@@ -150,7 +161,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 	// 3. Apply verdicts.
 	verdict := make(map[*ast.ConfineStmt]bool)
 	for _, c := range res.Infer.Candidates {
-		if cs, ok := c.Node.(*ast.ConfineStmt); ok && optional[cs] {
+		if cs, ok := c.Node.(*ast.ConfineStmt); ok && planter.planted[cs] {
 			ok := res.Infer.Succeeded(c)
 			verdict[cs] = ok
 			if ok {
@@ -176,20 +187,44 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 // ---------------------------------------------------------------------
 // Planting
 
-// planter inserts confine? candidates.
+// planter inserts confine? candidates into a checked program, keeping
+// info a valid types.Info of the planted program: wrapping statements
+// in a confine scope changes no name resolution (wraps that would are
+// skipped), so only the cloned confined expressions need recording.
 type planter struct {
 	general bool
-	planted []*ast.ConfineStmt
+	info    *types.Info
+	planted map[*ast.ConfineStmt]bool
 }
 
-// lockArgs returns the confinable change_type arguments syntactically
-// contained in s: arguments of spin_lock/spin_unlock that are
-// call-free pointer expressions. Planted candidate sub-blocks are
-// opaque under the heuristic ("the new sub-block does not contain a
-// change_type") and transparent in general mode.
-func (p *planter) lockArgs(s ast.Stmt, out map[string]ast.Expr) {
+// lockArg is one confinable change_type argument and its ExprString.
+type lockArg struct {
+	key  string
+	expr ast.Expr
+}
+
+// stmtFacts is what the pairing loop needs of one statement of a
+// block, computed once per block rather than once per iteration.
+type stmtFacts struct {
+	// args are the statement's confinable change_type arguments in
+	// source order.
+	args []lockArg
+	// reach is the index of the last statement of the block that uses
+	// a let declared by this statement (the statement's own index when
+	// it declares nothing used later). A range may be wrapped only if
+	// no statement in it reaches past its end: the wrap would end the
+	// let's scope early.
+	reach int
+}
+
+// lockArgs appends to out the confinable change_type arguments
+// syntactically contained in s: arguments of spin_lock/spin_unlock
+// that are call-free pointer expressions. Planted candidate
+// sub-blocks are opaque under the heuristic ("the new sub-block does
+// not contain a change_type") and transparent in general mode.
+func (p *planter) lockArgs(s ast.Stmt, out []lockArg) []lockArg {
 	ast.Inspect(s, func(n ast.Node) bool {
-		if cs, ok := n.(*ast.ConfineStmt); ok && !p.general && p.isPlanted(cs) {
+		if cs, ok := n.(*ast.ConfineStmt); ok && !p.general && p.planted[cs] {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
@@ -198,19 +233,11 @@ func (p *planter) lockArgs(s ast.Stmt, out map[string]ast.Expr) {
 		}
 		arg := call.Args[0]
 		if confinable(arg) {
-			out[ast.ExprString(arg)] = arg
+			out = append(out, lockArg{key: ast.ExprString(arg), expr: arg})
 		}
 		return true
 	})
-}
-
-func (p *planter) isPlanted(cs *ast.ConfineStmt) bool {
-	for _, q := range p.planted {
-		if q == cs {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // confinable enforces the Section 6.1 syntactic restriction: the
@@ -238,23 +265,55 @@ func (p *planter) block(b *ast.Block, alreadyConfined map[string]bool) {
 	for _, s := range b.Stmts {
 		p.stmt(s, alreadyConfined)
 	}
+	facts := make([]stmtFacts, len(b.Stmts))
+	var decls map[*ast.DeclStmt]int
+	for i, s := range b.Stmts {
+		facts[i] = stmtFacts{args: p.lockArgs(s, nil), reach: i}
+		if d, ok := s.(*ast.DeclStmt); ok {
+			if decls == nil {
+				decls = make(map[*ast.DeclStmt]int)
+			}
+			decls[d] = i
+		}
+	}
+	if decls != nil {
+		for i, s := range b.Stmts {
+			ast.Inspect(s, func(n ast.Node) bool {
+				if v, ok := n.(*ast.VarExpr); ok {
+					if sym := p.info.Uses[v]; sym != nil {
+						if d, ok := sym.Def.(*ast.DeclStmt); ok {
+							if j, ok := decls[d]; ok && i > facts[j].reach {
+								facts[j].reach = i
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	p.pair(b, facts, alreadyConfined)
+}
 
-	// Then pair statements at this level, to a fixpoint.
+// pair wraps statements of b (whose facts are given) to a fixpoint:
+// while some unmasked expression has change_types in two or more
+// statements, the smallest such range that can be wrapped safely is.
+func (p *planter) pair(b *ast.Block, facts []stmtFacts, alreadyConfined map[string]bool) {
 	for {
 		// For each confinable expression, the statement indices
-		// containing a change_type of it.
+		// containing a change_type of it, and its last occurrence.
 		occ := map[string][]int{}
 		exprs := map[string]ast.Expr{}
-		for i, s := range b.Stmts {
-			args := map[string]ast.Expr{}
-			p.lockArgs(s, args)
-			for k, e := range args {
-				occ[k] = append(occ[k], i)
-				exprs[k] = e
+		for i, f := range facts {
+			for _, a := range f.args {
+				if idxs := occ[a.key]; len(idxs) == 0 || idxs[len(idxs)-1] != i {
+					occ[a.key] = append(idxs, i)
+				}
+				exprs[a.key] = a.expr
 			}
 		}
-		// Pick the key with >= 2 occurrences and the smallest range;
-		// break ties toward the leftmost.
+		// Pick the key with >= 2 occurrences and the smallest range
+		// that keeps scoping intact; break ties toward the leftmost.
 		bestKey := ""
 		bestFirst, bestLast := 0, 0
 		for k, idxs := range occ {
@@ -262,45 +321,111 @@ func (p *planter) block(b *ast.Block, alreadyConfined map[string]bool) {
 				continue
 			}
 			first, last := idxs[0], idxs[len(idxs)-1]
-			if bestKey == "" ||
+			better := bestKey == "" ||
 				(last-first) < (bestLast-bestFirst) ||
-				((last-first) == (bestLast-bestFirst) && (first < bestFirst || (first == bestFirst && k < bestKey))) {
+				((last-first) == (bestLast-bestFirst) && (first < bestFirst || (first == bestFirst && k < bestKey)))
+			if better && p.wrappable(b, facts, first, last, exprs[k]) {
 				bestKey, bestFirst, bestLast = k, first, last
 			}
 		}
 		if bestKey == "" {
 			return
 		}
-		p.wrap(b, bestFirst, bestLast, exprs[bestKey], bestKey, alreadyConfined)
+		facts = p.wrap(b, facts, bestFirst, bestLast, exprs[bestKey], bestKey, alreadyConfined)
 	}
 }
 
-// wrap replaces b.Stmts[first..last] with a single confine? of expr.
-func (p *planter) wrap(b *ast.Block, first, last int, expr ast.Expr, key string, alreadyConfined map[string]bool) {
+// wrappable reports whether wrapping b.Stmts[first..last] in a confine
+// of a copy of expr keeps every name resolving as before: no let of the
+// range is used after it, and none of expr's names is bound inside the
+// range (the copy heads the range, outside such a binding's scope).
+func (p *planter) wrappable(b *ast.Block, facts []stmtFacts, first, last int, expr ast.Expr) bool {
+	for _, f := range facts[first : last+1] {
+		if f.reach > last {
+			return false
+		}
+	}
+	ok := true
+	ast.Inspect(expr, func(n ast.Node) bool {
+		v, isVar := n.(*ast.VarExpr)
+		if !isVar || !ok {
+			return ok
+		}
+		sym := p.info.Uses[v]
+		if sym == nil {
+			ok = false
+			return false
+		}
+		switch def := sym.Def.(type) {
+		case *ast.DeclStmt, *ast.BindStmt:
+			for _, s := range b.Stmts[first : last+1] {
+				ast.Inspect(s, func(n ast.Node) bool {
+					if n == def {
+						ok = false
+					}
+					return ok
+				})
+			}
+		}
+		return ok
+	})
+	return ok
+}
+
+// wrap replaces b.Stmts[first..last] with a single confine? of a copy
+// of expr and returns the facts of the rewritten block.
+func (p *planter) wrap(b *ast.Block, facts []stmtFacts, first, last int, expr ast.Expr, key string, alreadyConfined map[string]bool) []stmtFacts {
 	span := b.Stmts[first].Span().Union(b.Stmts[last].Span())
 	inner := &ast.Block{
 		Stmts: append([]ast.Stmt(nil), b.Stmts[first:last+1]...),
 		Sp:    span,
 	}
 	cs := &ast.ConfineStmt{
-		Expr:     ast.CloneExpr(expr),
+		Expr:     p.info.CloneExpr(expr),
 		Body:     inner,
 		Inferred: false, // set on success
 		Sp:       span,
 	}
-	p.planted = append(p.planted, cs)
+	p.planted[cs] = true
 
 	rest := append([]ast.Stmt(nil), b.Stmts[last+1:]...)
 	b.Stmts = append(b.Stmts[:first], cs)
 	b.Stmts = append(b.Stmts, rest...)
 
+	// The new statement carries the range's change_types only when
+	// planted scopes are transparent; no let of the range outlives it.
+	// Reaches into the range now reach the new statement.
+	innerFacts := append([]stmtFacts(nil), facts[first:last+1]...)
+	merged := stmtFacts{reach: first}
+	if p.general {
+		for _, f := range innerFacts {
+			merged.args = append(merged.args, f.args...)
+		}
+	}
+	shift := last - first
+	out := append(facts[:first:first], merged)
+	out = append(out, facts[last+1:]...)
+	for i := range out {
+		switch r := out[i].reach; {
+		case r > last:
+			out[i].reach = r - shift
+		case r >= first:
+			out[i].reach = first
+		}
+	}
+
 	// The new body may pair other expressions among the statements it
-	// swallowed; process it with this key masked.
+	// swallowed; process it with this key masked. Its statements keep
+	// their facts, rebased to the new block.
+	for i := range innerFacts {
+		innerFacts[i].reach -= first
+	}
 	sub := map[string]bool{key: true}
 	for k := range alreadyConfined {
 		sub[k] = true
 	}
-	p.block(inner, sub)
+	p.pair(inner, innerFacts, sub)
+	return out
 }
 
 // stmt recurses into nested blocks.

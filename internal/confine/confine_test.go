@@ -1,12 +1,17 @@
 package confine
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"localalias/internal/ast"
+	"localalias/internal/drivergen"
 	"localalias/internal/parser"
+	"localalias/internal/progen"
 	"localalias/internal/source"
+	"localalias/internal/types"
 )
 
 func parse(t *testing.T, src string) *ast.Program {
@@ -340,4 +345,182 @@ fun f(i: int) {
 	if !foundLet {
 		t.Error("let candidate missing")
 	}
+}
+
+// TestPlantKeepsLetScope: a let between a lock pair that is used
+// after the unlock must stay in scope, so the pair is not wrapped.
+func TestPlantKeepsLetScope(t *testing.T) {
+	prog, res := runInfer(t, `
+struct dev { l: lock; v: int; }
+fun f(d: ref dev): int {
+    spin_lock(&d->l);
+    let y = d->v;
+    spin_unlock(&d->l);
+    return y;
+}
+`, Options{Lets: true, Params: true})
+	if res.Planted != 0 {
+		t.Errorf("planted %d, want 0:\n%s", res.Planted, ast.String(prog))
+	}
+	// A let used only inside the range does not block the wrap.
+	_, res = runInfer(t, `
+struct dev { l: lock; v: int; }
+fun f(d: ref dev): int {
+    spin_lock(&d->l);
+    let y = d->v;
+    print(y);
+    spin_unlock(&d->l);
+    return 0;
+}
+`, Options{})
+	if res.Planted != 1 {
+		t.Errorf("planted %d, want 1", res.Planted)
+	}
+}
+
+// TestPlantSkipsExprBoundInRange: a confined expression whose name is
+// bound inside the range would name an unbound variable at the head
+// of the confine, so the range is not wrapped.
+func TestPlantSkipsExprBoundInRange(t *testing.T) {
+	for _, general := range []bool{false, true} {
+		prog, res := runInfer(t, `
+struct dev { l: lock; v: int; }
+fun f(p: ref dev) {
+    let q = p in { spin_lock(&q->l); }
+    let q = p in { spin_unlock(&q->l); }
+}
+`, Options{General: general, Lets: true, Params: true})
+		if res.Planted != 0 {
+			t.Errorf("general=%v: planted %d, want 0:\n%s", general, res.Planted, ast.String(prog))
+		}
+	}
+}
+
+// TestPlantedInfoMatchesFreshCheck is the differential test of the
+// planter's Info extension: over the Section 7 corpus, progen
+// programs and random lock programs, the Info the planter leaves
+// behind must agree, expression for expression, with a fresh
+// standard check of the planted program.
+func TestPlantedInfoMatchesFreshCheck(t *testing.T) {
+	type module struct{ name, src string }
+	var mods []module
+	for _, s := range drivergen.Corpus() {
+		mods = append(mods, module{s.Name, s.Source()})
+	}
+	for i := 0; i < 200; i++ {
+		mods = append(mods, module{fmt.Sprintf("progen%d", i), progen.Generate(int64(i))})
+	}
+	for i := 0; i < 200; i++ {
+		mods = append(mods, module{fmt.Sprintf("locks%d", i), lockProgram(int64(i))})
+	}
+	planted := 0
+	for _, m := range mods {
+		for _, general := range []bool{false, true} {
+			var diags source.Diagnostics
+			prog := parser.Parse(m.name, m.src, &diags)
+			info := types.Check(prog, &diags)
+			if diags.HasErrors() {
+				t.Fatalf("%s: %s\n%s", m.name, diags.String(), m.src)
+			}
+			p := &planter{general: general, info: info, planted: make(map[*ast.ConfineStmt]bool)}
+			for _, f := range prog.Funs {
+				p.block(f.Body, nil)
+			}
+			planted += len(p.planted)
+			fresh := types.Check(prog, &diags)
+			if diags.HasErrors() {
+				t.Fatalf("%s general=%v: planted program fails checking: %s\n%s",
+					m.name, general, diags.String(), ast.String(prog))
+			}
+			if err := sameInfo(prog, info, fresh); err != nil {
+				t.Fatalf("%s general=%v: %v\n%s", m.name, general, err, ast.String(prog))
+			}
+		}
+	}
+	if planted == 0 {
+		t.Fatal("no candidates planted: the differential compared nothing")
+	}
+}
+
+// sameInfo compares got against the reference want on every
+// expression of prog: equal types, equal place classification, and
+// variables resolving to symbols with the same defining node.
+func sameInfo(prog *ast.Program, got, want *types.Info) error {
+	var err error
+	ast.Inspect(prog, func(n ast.Node) bool {
+		e, ok := n.(ast.Expr)
+		if !ok || err != nil {
+			return err == nil
+		}
+		gt, gok := got.ExprTypes[e]
+		wt, wok := want.ExprTypes[e]
+		switch {
+		case gok != wok || (gok && !types.Equal(gt, wt)):
+			err = fmt.Errorf("%s: type %v, fresh check %v", ast.ExprString(e), gt, wt)
+		case got.IsPlace[e] != want.IsPlace[e]:
+			err = fmt.Errorf("%s: place %v, fresh check %v", ast.ExprString(e), got.IsPlace[e], want.IsPlace[e])
+		}
+		if v, ok := e.(*ast.VarExpr); ok && err == nil {
+			gs, ws := got.Uses[v], want.Uses[v]
+			if (gs == nil) != (ws == nil) || (gs != nil && gs.Def != ws.Def) {
+				err = fmt.Errorf("%s at %v: resolves differently from a fresh check", v.Name, v.Sp)
+			}
+		}
+		return err == nil
+	})
+	return err
+}
+
+// lockProgram generates a random well-typed program whose lock pairs
+// straddle lets, let-in bindings that shadow one another, and nested
+// control flow: the shapes where wrapping a range could change what a
+// name means.
+func lockProgram(seed int64) string {
+	r := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	b.WriteString("struct dev { l: lock; v: int; }\nglobal locks: lock[4];\n")
+	fresh := 0
+	var block func(scope []string, binds []string, depth int)
+	block = func(scope, binds []string, depth int) {
+		lockExpr := func() string {
+			devs := append([]string{"d1", "d2"}, binds...)
+			if r.Intn(5) == 0 {
+				return fmt.Sprintf("&locks[%d]", r.Intn(2))
+			}
+			return "&" + devs[r.Intn(len(devs))] + "->l"
+		}
+		for n := 2 + r.Intn(5); n > 0; n-- {
+			switch k := r.Intn(10); {
+			case k < 2:
+				fmt.Fprintf(&b, "spin_lock(%s);\n", lockExpr())
+			case k < 4:
+				fmt.Fprintf(&b, "spin_unlock(%s);\n", lockExpr())
+			case k < 5:
+				fresh++
+				name := fmt.Sprintf("y%d", fresh)
+				fmt.Fprintf(&b, "let %s = d1->v;\n", name)
+				scope = append(scope, name)
+			case k < 6 && len(scope) > 0:
+				fmt.Fprintf(&b, "print(%s);\n", scope[r.Intn(len(scope))])
+			case k < 8 && depth < 3:
+				fmt.Fprintf(&b, "let q = d%d in {\n", 1+r.Intn(2))
+				block(append([]string(nil), scope...), append(binds[:len(binds):len(binds)], "q"), depth+1)
+				b.WriteString("}\n")
+			case k < 9 && depth < 3:
+				b.WriteString("if (c > 0) {\n")
+				block(append([]string(nil), scope...), binds, depth+1)
+				b.WriteString("} else {\n")
+				block(append([]string(nil), scope...), binds, depth+1)
+				b.WriteString("}\n")
+			case depth < 3:
+				b.WriteString("while (c > 0) {\n")
+				block(append([]string(nil), scope...), binds, depth+1)
+				b.WriteString("}\n")
+			}
+		}
+	}
+	b.WriteString("fun f(d1: ref dev, d2: ref dev, c: int) {\n")
+	block(nil, nil, 0)
+	b.WriteString("}\n")
+	return b.String()
 }

@@ -39,10 +39,6 @@ type Module struct {
 	Prog  *ast.Program
 	TInfo *types.Info
 	Diags *source.Diagnostics
-	// ImportSigs is the import environment the module was loaded
-	// with (nil for standalone modules); confine's re-typecheck of
-	// the planted program resolves imports against the same surface.
-	ImportSigs types.ImportSigs
 }
 
 // LoadModule parses and type checks src. It fails on lexical,
@@ -70,7 +66,7 @@ func LoadModuleTraced(name, src string, tr *faults.Trace) (*Module, error) {
 // absent from sigs fail with positioned "package not found"
 // diagnostics.
 func LoadModuleWith(name, src string, sigs types.ImportSigs, tr *faults.Trace) (*Module, error) {
-	m := &Module{Name: name, Diags: &source.Diagnostics{}, ImportSigs: sigs}
+	m := &Module{Name: name, Diags: &source.Diagnostics{}}
 	tr.Enter(faults.PhaseParse)
 	m.Prog = parser.Parse(name, src, m.Diags)
 	if m.Diags.HasErrors() {
@@ -254,7 +250,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		MemoCounters:  opts.MemoCounters,
 		Ctx:           ctx,
 		Trace:         tr,
-		Imports:       m.ImportSigs,
+		Info:          m.TInfo,
 		ImportEffects: opts.ImportEffects,
 	})
 	if err != nil {

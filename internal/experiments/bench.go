@@ -144,7 +144,7 @@ func BenchConfineOverhead(b *testing.B, withConfine bool) {
 			return
 		}
 		if withConfine {
-			cres, err := confine.InferAndApply(mod.Prog, mod.Diags, confine.Options{Params: true})
+			cres, err := confine.InferAndApply(mod.Prog, mod.Diags, confine.Options{Params: true, Info: mod.TInfo})
 			if err != nil {
 				benchFatal(b, err)
 				return

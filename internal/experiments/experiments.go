@@ -418,9 +418,9 @@ func (r *CorpusResult) PhaseTable() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Per-phase timing over %d module(s)\n", r.Analyzed())
-	fmt.Fprintf(&b, "  %-10s %8s %12s %12s %12s\n", "phase", "modules", "p50", "p95", "max")
+	fmt.Fprintf(&b, "  %-14s %8s %12s %12s %12s\n", "phase", "modules", "p50", "p95", "max")
 	for _, s := range stats {
-		fmt.Fprintf(&b, "  %-10s %8d %12v %12v %12v\n",
+		fmt.Fprintf(&b, "  %-14s %8d %12v %12v %12v\n",
 			s.Phase, s.Count,
 			s.P50.Round(time.Microsecond),
 			s.P95.Round(time.Microsecond),
@@ -520,7 +520,7 @@ func (r *CorpusResult) FailureSummary(slowestN int) string {
 	}
 	sort.Strings(phases)
 	for _, p := range phases {
-		fmt.Fprintf(&b, "  phase %-9s %d failure(s)\n", p+":", byPhase[faults.Phase(p)])
+		fmt.Fprintf(&b, "  phase %-14s %d failure(s)\n", p+":", byPhase[faults.Phase(p)])
 	}
 	for _, f := range r.Failures {
 		fmt.Fprintf(&b, "  %s\n", f.Error())
@@ -687,7 +687,7 @@ func Timing(moduleName string, rounds int) (*TimingResult, error) {
 			return nil, err
 		}
 		t1 := time.Now()
-		cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true})
+		cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true, Info: mod2.TInfo})
 		if err != nil {
 			return nil, err
 		}

@@ -34,12 +34,21 @@ const (
 	PhaseInfer     Phase = "infer"     // alias-and-effect inference
 	PhaseSolve     Phase = "solve"     // constraint solving
 	PhaseQual      Phase = "qual"      // flow-sensitive qualifier analysis
+
+	// The confine second pass (package confine) over the planted
+	// program: candidate planting, inference and solving. They are
+	// distinct from the first pass's phases so timings and failures
+	// of the second pass are attributed to it.
+	PhaseConfinePlant Phase = "confine.plant"
+	PhaseConfineInfer Phase = "confine.infer"
+	PhaseConfineSolve Phase = "confine.solve"
 )
 
 // Phases returns the pipeline phases in execution order, for code
 // that renders per-phase tables in a canonical order.
 func Phases() []Phase {
-	return []Phase{PhaseGenerate, PhaseParse, PhaseTypecheck, PhaseInfer, PhaseSolve, PhaseQual}
+	return []Phase{PhaseGenerate, PhaseParse, PhaseTypecheck, PhaseInfer, PhaseSolve, PhaseQual,
+		PhaseConfinePlant, PhaseConfineInfer, PhaseConfineSolve}
 }
 
 // Kind classifies a module failure.

@@ -179,10 +179,10 @@ type builder struct {
 	// allocation).
 	cellsMade []locs.Loc
 
-	// slab chunk-allocates LType nodes: one make per 256 nodes
-	// instead of one per node. Chunks are never reallocated (a full
-	// chunk is replaced by a fresh one), so returned pointers stay
-	// valid.
+	// slab chunk-allocates LType nodes: one make per chunk instead
+	// of one per node. The first chunk is sized by the caller, later
+	// ones hold 256 nodes. Chunks are never reallocated (a full chunk
+	// is replaced by a fresh one), so returned pointers stay valid.
 	slab []LType
 }
 
@@ -199,8 +199,10 @@ func (b *builder) internalErrf(format string, args ...any) {
 	}
 }
 
-func newBuilder(ls *locs.Store, sys *effects.System) *builder {
-	b := &builder{ls: ls, sys: sys}
+// newBuilder returns a builder whose first slab chunk holds nodes
+// LType nodes.
+func newBuilder(ls *locs.Store, sys *effects.System, nodes int) *builder {
+	b := &builder{ls: ls, sys: sys, slab: make([]LType, 0, nodes)}
 	b.intT = b.newNode(LInt, "int")
 	b.unitT = b.newNode(LUnit, "unit")
 	b.lockT = b.newNode(LLock, "lock")

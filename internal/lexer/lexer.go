@@ -34,18 +34,28 @@ func New(file *source.File, diags *source.Diagnostics) *Lexer {
 	return &Lexer{file: file, diags: diags, src: file.Text}
 }
 
+// maxReserve caps the tokens ScanAll reserves up front: a source of
+// few tokens and much comment or whitespace must not reserve by its
+// length. Longer token streams grow past it by appending.
+const maxReserve = 1 << 14
+
 // ScanAll lexes the entire file, returning the tokens including a
 // trailing EOF token.
 func ScanAll(file *source.File, diags *source.Diagnostics) []Token {
 	lx := New(file, diags)
-	var toks []Token
-	for {
-		t := lx.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
+	t := lx.Next()
+	if t.Kind == token.EOF {
+		return []Token{t}
 	}
+	// MiniC source spends at least 3.2 bytes per token (the Section 7
+	// corpus's minimum), so one token per 3 bytes rarely regrows.
+	toks := make([]Token, 1, min(len(lx.src)/3+2, maxReserve))
+	toks[0] = t
+	for t.Kind != token.EOF {
+		t = lx.Next()
+		toks = append(toks, t)
+	}
+	return toks
 }
 
 func (lx *Lexer) peek() byte {

@@ -1,7 +1,12 @@
 package lexer
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"localalias/internal/drivergen"
 
 	"localalias/internal/source"
 	"localalias/internal/token"
@@ -193,5 +198,53 @@ fun do_with_lock(l: ref lock) {
 	_, diags := scan(t, src)
 	if diags.HasErrors() {
 		t.Fatalf("unexpected errors: %s", diags)
+	}
+}
+
+// scanAllocBytes returns the heap bytes a ScanAll of f allocates: the
+// least of three runs, so an allocation elsewhere in the process
+// cannot be charged to it.
+func scanAllocBytes(f *source.File) (uint64, []Token) {
+	var least uint64
+	var toks []Token
+	for i := 0; i < 3; i++ {
+		var diags source.Diagnostics
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		toks = ScanAll(f, &diags)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least, toks
+}
+
+// TestScanAllReserveBounded: the token slice is reserved from the
+// source length, but a huge source of comments reserves nothing for
+// them (a comment-only source costs the one EOF token, as growing by
+// appending would), and a few tokens in much comment reserve at most
+// maxReserve.
+func TestScanAllReserveBounded(t *testing.T) {
+	comments := strings.Repeat("// nothing to see here, just a comment\n", 32<<20/39)
+	n, toks := scanAllocBytes(source.NewFile("c.mc", comments))
+	if len(toks) != 1 || toks[0].Kind != token.EOF {
+		t.Fatalf("comment-only source scanned to %d tokens", len(toks))
+	}
+	if one := uint64(unsafe.Sizeof(Token{})); n > 2*one {
+		t.Errorf("comment-only source: ScanAll allocated %d bytes, want at most %d (one token)", n, 2*one)
+	}
+	_, toks = scanAllocBytes(source.NewFile("t.mc", "fun f() {}\n"+comments))
+	if cap(toks) > maxReserve {
+		t.Errorf("few tokens in a huge source reserved %d tokens, cap is %d", cap(toks), maxReserve)
+	}
+	// Corpus source fits its reservation without regrowing.
+	for _, spec := range drivergen.Corpus() {
+		src := spec.Source()
+		toks := ScanAll(source.NewFile(spec.Name, src), &source.Diagnostics{})
+		if want := min(len(src)/3+2, maxReserve); cap(toks) != want {
+			t.Fatalf("%s: %d tokens regrew a reservation of %d for %d bytes", spec.Name, len(toks), want, len(src))
+		}
 	}
 }

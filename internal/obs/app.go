@@ -10,7 +10,8 @@ import (
 // Phase names mirror faults.Phase (obs cannot import faults — the
 // dependency points the other way). The engine records one histogram
 // observation per phase per analyzed module.
-var phaseNames = []string{"generate", "parse", "typecheck", "infer", "solve", "qual"}
+var phaseNames = []string{"generate", "parse", "typecheck", "infer", "solve", "qual",
+	"confine.plant", "confine.infer", "confine.solve"}
 
 // Mode names mirror the service analysis modes.
 var modeNames = []string{"check", "infer", "confine", "qual"}

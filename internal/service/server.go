@@ -137,6 +137,11 @@ func (o ServerOptions) withDefaults() ServerOptions {
 type Server struct {
 	opts  ServerOptions
 	cache *Cache
+	// flights holds the cold runs in progress by cache key, so
+	// concurrent misses on one key run the engine once (see
+	// runCached). flightMu also orders cache lookups against them.
+	flightMu sync.Mutex
+	flights  map[string]chan struct{}
 	// inc is the incremental re-analysis engine (nil when MemoEntries
 	// is negative): cache misses run through it so edited modules
 	// re-solve only what changed.
@@ -170,12 +175,13 @@ type Server struct {
 func NewServer(opts ServerOptions) *Server {
 	o := opts.withDefaults()
 	s := &Server{
-		opts:   o,
-		cache:  NewCache(o.CacheEntries),
-		slots:  make(chan struct{}, o.Workers),
-		queue:  make(chan struct{}, o.QueueDepth),
-		log:    NewAccessLogger(o.AccessLog, o.LogFormat),
-		traces: obs.NewTraceRing(o.TraceEntries),
+		opts:    o,
+		cache:   NewCache(o.CacheEntries),
+		flights: make(map[string]chan struct{}),
+		slots:   make(chan struct{}, o.Workers),
+		queue:   make(chan struct{}, o.QueueDepth),
+		log:     NewAccessLogger(o.AccessLog, o.LogFormat),
+		traces:  obs.NewTraceRing(o.TraceEntries),
 	}
 	if o.MemoEntries > 0 {
 		s.inc = NewIncremental(solve.NewMemo(o.MemoEntries), o.SummaryEntries)
@@ -330,9 +336,11 @@ func ValidateRequest(req *AnalyzeRequest) *WireError {
 // dependent, so those re-run on resubmission.
 func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (data []byte, key string, hit bool, resp *AnalyzeResponse, inc *IncrementalInfo, err error) {
 	key = CacheKey(req)
-	if data, ok := s.cache.Get(key); ok {
+	data, hit, release := s.lookup(ctx, key)
+	if hit {
 		return data, key, true, nil, nil, nil
 	}
+	defer release()
 	req.SolverWorkers = s.opts.SolverWorkers
 	if s.inc != nil {
 		resp, inc = s.inc.Analyze(ctx, req, s.opts.RequestTimeout)
@@ -350,6 +358,41 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (data []byt
 		s.cache.Put(key, data)
 	}
 	return data, key, false, resp, inc, nil
+}
+
+// lookup serves key from the cache, first waiting out a cold run of
+// key already in progress, so concurrent misses on one key run the
+// engine once and the rest replay its bytes as hits. On a miss the
+// caller runs the request and calls release when done; requests for
+// key that arrive meanwhile wait for it. If that run fails (nothing is
+// cached), a waiter runs the request itself; so does one whose client
+// gives up waiting.
+func (s *Server) lookup(ctx context.Context, key string) (data []byte, hit bool, release func()) {
+	for {
+		s.flightMu.Lock()
+		done, running := s.flights[key]
+		if !running {
+			if data, ok := s.cache.Get(key); ok {
+				s.flightMu.Unlock()
+				return data, true, nil
+			}
+			done = make(chan struct{})
+			s.flights[key] = done
+			s.flightMu.Unlock()
+			return nil, false, func() {
+				s.flightMu.Lock()
+				delete(s.flights, key)
+				s.flightMu.Unlock()
+				close(done)
+			}
+		}
+		s.flightMu.Unlock()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return nil, false, func() {}
+		}
+	}
 }
 
 // acquireSlot takes a worker token, honouring request cancellation.

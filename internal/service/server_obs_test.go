@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"localalias/internal/client"
 	"localalias/internal/obs"
@@ -206,6 +208,72 @@ func TestMetricsMonotonicUnderLoad(t *testing.T) {
 	}
 }
 
+// TestConcurrentMissesCoalesce: concurrent misses on one cache key run
+// the engine once and the others replay its bytes as hits; when that
+// run fails, one waiter runs the request again and the rest replay
+// the retry.
+func TestConcurrentMissesCoalesce(t *testing.T) {
+	_, c := newTestServer(t, service.ServerOptions{Workers: 8, QueueDepth: 64})
+	var runs sync.Map // module -> *atomic.Int32
+	gate := make(chan struct{})
+	service.SetTestAnalyzeHook(func(ctx context.Context, module string) {
+		n, _ := runs.LoadOrStore(module, new(atomic.Int32))
+		if n.(*atomic.Int32).Add(1) == 1 {
+			<-gate // hold the first run until the others are waiting
+			if module == "fails-first.mc" {
+				panic("injected failure of the first run")
+			}
+		}
+	})
+	defer service.SetTestAnalyzeHook(nil)
+
+	for _, module := range []string{"coalesced.mc", "fails-first.mc"} {
+		const n = 6
+		bodies := make([][]byte, n)
+		metas := make([]client.Meta, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var err error
+				bodies[i], metas[i], err = c.AnalyzeRaw(context.Background(), &service.AnalyzeRequest{
+					Module: module, Source: service.CleanCheckSrc,
+					Options: service.AnalyzeOptions{Mode: service.ModeCheck}})
+				if err != nil {
+					t.Errorf("%s: %v", module, err)
+				}
+			}(i)
+		}
+		time.Sleep(100 * time.Millisecond)
+		close(gate)
+		wg.Wait()
+		gate = make(chan struct{})
+
+		want, wantMisses := int32(1), 1
+		if module == "fails-first.mc" {
+			want, wantMisses = 2, 2
+		}
+		v, _ := runs.Load(module)
+		if got := v.(*atomic.Int32).Load(); got != want {
+			t.Errorf("%s: engine ran %d times, want %d", module, got, want)
+		}
+		misses, healthy := 0, map[string]bool{}
+		for i, m := range metas {
+			if m.Cache == "miss" {
+				misses++
+			}
+			if !bytes.Contains(bodies[i], []byte(`"failure"`)) {
+				healthy[string(bodies[i])] = true
+			}
+		}
+		if misses != wantMisses || len(healthy) != 1 {
+			t.Errorf("%s: %d misses and %d distinct healthy bodies, want %d and 1",
+				module, misses, len(healthy), wantMisses)
+		}
+	}
+}
+
 // TestBatchTraceIDsUnique submits a 200-module batch and requires a
 // distinct trace ID per entry plus an index-aligned per-item cache
 // disposition header.
@@ -304,6 +372,24 @@ func TestAccessLogFormats(t *testing.T) {
 	}
 }
 
+// TestPhasesHeaderNamesConfinePass: a cold qual request's X-Lna-Phases
+// gives the confine second pass its own phases, and type checks once.
+func TestPhasesHeaderNamesConfinePass(t *testing.T) {
+	_, c := newTestServer(t, service.ServerOptions{})
+	meta := mustAnalyze(t, c, service.AnalyzeRequest{
+		Module: "phases.mc", Source: service.CleanCheckSrc,
+		Options: service.AnalyzeOptions{Mode: service.ModeQual}})
+	var names []string
+	for _, p := range strings.Split(meta.Phases, ",") {
+		name, _, _ := strings.Cut(p, ":")
+		names = append(names, name)
+	}
+	want := "parse typecheck infer solve qual confine.plant confine.infer confine.solve"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("X-Lna-Phases phases %q, want %q", got, want)
+	}
+}
+
 // TestEngineTracePhases: a traced request collects one span per
 // executed phase plus the enclosing request span, all under one ID —
 // and the trace is exportable as Chrome JSON.
@@ -318,14 +404,19 @@ func TestEngineTracePhases(t *testing.T) {
 		t.Fatalf("analysis failed: %v", resp.Failure)
 	}
 	spans := ot.Spans()
-	names := make(map[string]bool)
+	names := make(map[string]int)
 	for _, sp := range spans {
-		names[sp.Name] = true
+		names[sp.Name]++
 	}
-	for _, want := range []string{"parse", "typecheck", "infer", "solve", "qual", "analyze"} {
-		if !names[want] {
+	for _, want := range []string{"parse", "typecheck", "infer", "solve", "qual", "analyze",
+		"confine.plant", "confine.infer", "confine.solve"} {
+		if names[want] == 0 {
 			t.Errorf("trace missing %q span (got %v)", want, names)
 		}
+	}
+	// The confine pass extends the first pass's typing: one check.
+	if names["typecheck"] != 1 {
+		t.Errorf("%d typecheck spans, want 1", names["typecheck"])
 	}
 	var buf bytes.Buffer
 	if err := ot.WriteChrome(&buf); err != nil {

@@ -245,6 +245,48 @@ type Info struct {
 // TypeOf returns the checked type of e, or nil.
 func (in *Info) TypeOf(e ast.Expr) Type { return in.ExprTypes[e] }
 
+// CloneExpr returns a deep copy of the checked expression e and
+// records for every node of the copy what in holds for the node it
+// copies: its type, its place classification and, for variables, its
+// symbol. The copy must be placed where e's names resolve to the same
+// symbols; it then reads as if the checker had visited it.
+func (in *Info) CloneExpr(e ast.Expr) ast.Expr {
+	c := ast.CloneExpr(e)
+	var orig []ast.Node
+	ast.Inspect(e, func(n ast.Node) bool {
+		orig = append(orig, n)
+		return true
+	})
+	i := 0
+	ast.Inspect(c, func(n ast.Node) bool {
+		o := orig[i]
+		i++
+		ce, ok := n.(ast.Expr)
+		if !ok {
+			return true
+		}
+		oe := o.(ast.Expr)
+		if t, ok := in.ExprTypes[oe]; ok {
+			in.ExprTypes[ce] = t
+		}
+		if in.IsPlace[oe] {
+			in.IsPlace[ce] = true
+		}
+		switch n := n.(type) {
+		case *ast.VarExpr:
+			if sym, ok := in.Uses[o.(*ast.VarExpr)]; ok {
+				in.Uses[n] = sym
+			}
+		case *ast.NewExpr:
+			if sd, ok := in.StructAllocs[o.(*ast.NewExpr)]; ok {
+				in.StructAllocs[n] = sd
+			}
+		}
+		return true
+	})
+	return c
+}
+
 // ChangeOp describes one state-changing builtin — an instance of
 // CQUAL's change_type primitive [15]. Every ChangeOp takes a single
 // "ref lock" argument whose pointed-to state it flips: Acquire ops
