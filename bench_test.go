@@ -12,7 +12,9 @@
 //
 // Reported custom metrics carry the experiment's headline quantity
 // (e.g. eliminated-rate for E1) so `go test -bench` output documents
-// the reproduction, not just its speed.
+// the reproduction, not just its speed. End-to-end request costs
+// (daemon, gateway, per-layer ledger) are measured by the lnabench
+// module: `bash lnabench/run.sh`.
 package localalias
 
 import (
@@ -34,15 +36,14 @@ import (
 // ---------------------------------------------------------------------
 // E1–E3: the corpus experiments
 
-// The body lives in internal/experiments (bench.go) so the
-// experiments command's -bench-json mode can run the same measurement
-// via testing.Benchmark.
+// The body lives in internal/experiments (bench.go), next to the
+// corpus driver it measures.
 func BenchmarkCorpusSummary(b *testing.B) { experiments.BenchCorpusSummary(b) }
 
 // BenchmarkCorpusSummaryTraced is the same corpus run with the
 // observability path enabled (a span trace per module, as under the
 // daemon); its delta against BenchmarkCorpusSummary bounds the
-// tracing overhead recorded in BENCH_obs.json.
+// tracing overhead.
 func BenchmarkCorpusSummaryTraced(b *testing.B) { experiments.BenchCorpusSummaryTraced(b) }
 
 func BenchmarkFigure6(b *testing.B) {
@@ -281,12 +282,10 @@ func BenchmarkSolverPropagationTraced(b *testing.B) { experiments.BenchSolverPro
 // BenchmarkSolverSteadyState times exactly solve+Release per op (the
 // constraint system is rebuilt with the timer stopped) — the
 // per-request cost a resident daemon pays. The sub-benchmarks compare
-// the pre-pooling allocation profile, the pooled sequential solver,
-// and the pooled partitioned solver (see BENCH_parallel.json).
+// the pooled sequential solver with the pooled partitioned solver.
 func BenchmarkSolverSteadyState(b *testing.B) {
-	b.Run("unpooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, false, 1) })
-	b.Run("pooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, true, 1) })
-	b.Run("pooled-workers-4", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, true, 4) })
+	b.Run("pooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, 1) })
+	b.Run("pooled-workers-4", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, 4) })
 }
 
 // Guard: the scaling generator must produce type-correct programs.

@@ -9,15 +9,11 @@
 //	experiments -timing       # E4 only
 //	experiments -dump DIR     # write the generated corpus sources to DIR
 //	experiments -phases       # with -summary: per-phase p50/p95/max table
-//	experiments -bench-obs-json FILE
-//	                          # observability-overhead benchmarks
-//	experiments -bench-gateway-json FILE
-//	                          # gateway open-loop load benchmarks
-//	experiments -bench-trace-json FILE
-//	                          # tracing overhead on the gateway relay path
 //	experiments -xmodule      # cross-module precision table (havoc vs summaries)
-//	experiments -bench-xmodule-json FILE
-//	                          # cross-module DAG scheduler + summary-cache benchmarks
+//
+// Performance is measured by the lnabench module, not by this
+// command: `bash lnabench/run.sh` runs its workloads end to end (see
+// lnabench/README.md).
 //
 // Fault-containment flags:
 //
@@ -36,7 +32,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -69,13 +64,6 @@ func main() {
 		rounds        = flag.Int("rounds", 5, "timing rounds for -timing")
 		dump          = flag.String("dump", "", "write generated corpus sources to this directory and exit")
 		csvPath       = flag.String("csv", "", "also write per-module results as CSV to this file")
-		benchJSON     = flag.String("bench-json", "", "run the solver benchmarks, write ns/op as JSON to this file (- for stdout), and exit")
-		benchObsJSON  = flag.String("bench-obs-json", "", "run the observability-overhead benchmarks (tracing disabled vs enabled), write ns/op as JSON to this file (- for stdout), and exit")
-		benchParJSON  = flag.String("bench-parallel-json", "", "run the parallel-solver benchmarks (sequential unpooled vs pooled partitioned, interleaved, at GOMAXPROCS 1/2/4), write the report as JSON to this file (- for stdout), and exit")
-		benchIncJSON  = flag.String("bench-incremental-json", "", "run the incremental re-analysis benchmarks (from-scratch vs resident cache+memo after a one-function edit, interleaved), write the report as JSON to this file (- for stdout), and exit")
-		benchGwJSON   = flag.String("bench-gateway-json", "", "run the gateway open-loop load benchmarks (1-replica vs 2-replica stacks, interleaved), write the report as JSON to this file (- for stdout), and exit")
-		benchTrJSON   = flag.String("bench-trace-json", "", "run the tracing-overhead benchmarks (gateway relay with tracing off vs on, interleaved), write the report as JSON to this file (- for stdout), and exit")
-		benchXmodJSON = flag.String("bench-xmodule-json", "", "run the cross-module DAG benchmarks (sequential vs parallel scheduler, cold vs warm summary cache, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		xmodule       = flag.Bool("xmodule", false, "print the cross-module precision table (per-module havoc vs package summaries) and exit")
 		phases        = flag.Bool("phases", false, "also print the per-phase p50/p95/max timing table with the summary")
 		quiet         = flag.Bool("q", false, "suppress progress output")
@@ -88,163 +76,6 @@ func main() {
 		if err := dumpCorpus(*dump); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(exitError)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running solver benchmarks (this takes a few seconds per benchmark)...")
-		}
-		data, err := experiments.RunBenchJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchJSON)
-		}
-		return
-	}
-
-	if *benchObsJSON != "" {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running observability-overhead benchmarks (disabled vs traced)...")
-		}
-		data, err := experiments.RunObsBenchJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchObsJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchObsJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchObsJSON)
-		}
-		return
-	}
-
-	if *benchParJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running parallel-solver benchmarks (interleaved before/after pairs; this takes a few minutes)...")
-		}
-		data, err := experiments.RunParallelBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchParJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchParJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchParJSON)
-		}
-		return
-	}
-
-	if *benchIncJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running incremental re-analysis benchmarks (interleaved cold/incremental pairs; this takes a few minutes)...")
-		}
-		data, err := experiments.RunIncrementalBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchIncJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchIncJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchIncJSON)
-		}
-		return
-	}
-
-	if *benchGwJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running gateway load benchmarks (interleaved 1-replica/2-replica pairs; this takes a minute)...")
-		}
-		data, err := experiments.RunGatewayBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchGwJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchGwJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchGwJSON)
-		}
-		return
-	}
-
-	if *benchTrJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running tracing-overhead benchmarks (interleaved off/on pairs; this takes a minute)...")
-		}
-		data, err := experiments.RunTraceBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchTrJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchTrJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchTrJSON)
-		}
-		return
-	}
-
-	if *benchXmodJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running cross-module DAG benchmarks (interleaved before/after pairs; this takes a minute)...")
-		}
-		data, err := experiments.RunXmoduleBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchXmodJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchXmodJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchXmodJSON)
 		}
 		return
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"localalias/internal/drivergen"
+	"localalias/internal/parser"
 	"localalias/internal/service"
 )
 
@@ -157,6 +158,50 @@ fun f(p: ref dev) {
 			if code != service.ExitClean {
 				t.Errorf("lna %s %s: exit %d, want 0\n%s%s", mode, name, code, stdout, stderr)
 			}
+		}
+	}
+}
+
+// nestedProgram mirrors the parser tests' shapes: a program whose
+// innermost node sits at nesting level levels (parser.MaxNesting).
+func nestedProgram(shape string, levels int) string {
+	switch shape {
+	case "parens":
+		k := levels - 2
+		return "fun main() { let x = " + strings.Repeat("(", k) + "1" + strings.Repeat(")", k) + "; }\n"
+	case "prefix":
+		return "fun main() { let x = " + strings.Repeat("-", levels-2) + "1; }\n"
+	default:
+		return "fun main() " + strings.Repeat("{", levels) + strings.Repeat("}", levels) + "\n"
+	}
+}
+
+// TestNestingLimitSubcommands: every subcommand finishes cleanly on a
+// program nested exactly to the parser's limit, and a million levels
+// (about 2 MB) is a positioned parse error rather than a stack
+// overflow that kills the process.
+func TestNestingLimitSubcommands(t *testing.T) {
+	bins := binaries(t)
+	dir := t.TempDir()
+	for _, shape := range []string{"parens", "prefix", "blocks"} {
+		atLimit := filepath.Join(dir, shape+"_limit.mc")
+		probe := filepath.Join(dir, shape+"_probe.mc")
+		if err := os.WriteFile(atLimit, []byte(nestedProgram(shape, parser.MaxNesting)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(probe, []byte(nestedProgram(shape, 1_000_000)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range []string{"check", "infer", "confine", "qual", "run", "fmt"} {
+			if stdout, stderr, code := run(t, bins["lna"], sub, atLimit); code != service.ExitClean {
+				t.Errorf("lna %s %s: exit %d, want 0\n%.500s%.500s", sub, shape, code, stdout, stderr)
+			}
+		}
+		stdout, stderr, code := run(t, bins["lna"], "check", probe)
+		if code != service.ExitFindings || !strings.Contains(stdout+stderr, "_probe.mc:1:") ||
+			!strings.Contains(stdout+stderr, "nesting too deep") {
+			t.Errorf("lna check %s probe: exit %d, want 1 with a positioned nesting diagnostic\n%.300s%.300s",
+				shape, code, stdout, stderr)
 		}
 	}
 }

@@ -12,6 +12,49 @@ import (
 	"localalias/internal/solve"
 )
 
+// incrementalMemoEntries sizes the corpus tests' solve memo to hold the
+// whole corpus's components without eviction churn (≈20 components per
+// module × 589 modules).
+const incrementalMemoEntries = 1 << 15
+
+// corpusRequests renders the 589-module corpus as analyze requests
+// (default mode: the full three-mode qual experiment, like the
+// experiment driver submits).
+func corpusRequests() []service.AnalyzeRequest {
+	specs := drivergen.Corpus()
+	reqs := make([]service.AnalyzeRequest, len(specs))
+	for i, s := range specs {
+		reqs[i] = service.AnalyzeRequest{Module: s.Name + ".mc", Source: s.Source()}
+	}
+	return reqs
+}
+
+// editFunction applies the n-th revision of a one-function edit:
+// a fresh let binding inserted at the top of the module's first
+// function body. Each n yields distinct source bytes (so the byte
+// cache misses, like a real edit) and a changed constraint component
+// for that function (so the solver has genuine work to redo).
+func editFunction(src string, n int) string {
+	at := strings.Index(src, "fun ")
+	if at < 0 {
+		return src
+	}
+	brace := strings.IndexByte(src[at:], '{')
+	if brace < 0 {
+		return src
+	}
+	pos := at + brace + 1
+	return src[:pos] + fmt.Sprintf("\n    let __e%d = new %d;\n    *__e%d = %d;", n, n, n, n+1) + src[pos:]
+}
+
+// editComment applies the n-th comment-only revision: new source
+// bytes (the byte cache misses, every span shifts) but an unchanged
+// constraint system, so the memo replays every component. This is the
+// save-without-a-semantic-change flow an editor produces constantly.
+func editComment(src string, n int) string {
+	return fmt.Sprintf("// revision %d\n", n) + src
+}
+
 // editVector applies the i-th module's edit: rotating through a
 // body edit (new binding + store in the first function), a
 // comment-only edit (shifts every span, changes no declaration), and
@@ -50,7 +93,7 @@ func TestIncrementalCorpusDifferential(t *testing.T) {
 	if testing.Short() {
 		stride = 7
 	}
-	inc := service.NewIncremental(solve.NewMemo(incrementalMemoEntries), len(specs))
+	inc := service.NewIncremental(solve.NewMemo(incrementalMemoEntries))
 	ctx := context.Background()
 
 	checked, fullReplays, resolved := 0, 0, 0
@@ -89,13 +132,9 @@ func TestIncrementalCorpusDifferential(t *testing.T) {
 			t.Fatalf("%s: no incremental info", spec.Name)
 		}
 		if vector == "comment" {
-			// A comment-only edit shifts every span but no declaration
-			// and no constraint: the delta must be empty and every
-			// component must replay from the warm pass (the fingerprint
-			// is position-free).
-			if !info.Delta.Empty() {
-				t.Errorf("%s: comment edit produced a declaration delta: %+v", spec.Name, info.Delta)
-			}
+			// A comment-only edit shifts every span but no constraint:
+			// every component must replay from the warm pass (the
+			// fingerprint is position-free).
 			if info.Solved != 0 || info.Replayed == 0 {
 				t.Errorf("%s: comment edit did not fully replay: %+v", spec.Name, info)
 			}
@@ -126,18 +165,17 @@ func TestIncrementalCorpusDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalBenchSmoke pins the benchmark harness pieces without
-// paying for a full measurement run: both edit functions produce
-// analyzable source, a body edit gives the solver genuine work, and a
-// comment revision fully replays from a warmed engine (the
-// within-module win the edited-module benchmark pair measures).
-func TestIncrementalBenchSmoke(t *testing.T) {
+// TestIncrementalEditReplay pins the two edit shapes on one corpus
+// module: both produce analyzable source, a body edit gives the solver
+// genuine work, and a comment revision fully replays from a warmed
+// engine.
+func TestIncrementalEditReplay(t *testing.T) {
 	reqs := corpusRequests()
 	if len(reqs) != drivergen.NumModules {
 		t.Fatalf("corpus renders %d requests, want %d", len(reqs), drivergen.NumModules)
 	}
 	req := reqs[len(reqs)/2]
-	inc := service.NewIncremental(solve.NewMemo(1024), 4)
+	inc := service.NewIncremental(solve.NewMemo(1024))
 	ctx := context.Background()
 	if resp, _ := inc.Analyze(ctx, &req, 0); resp.Failure != nil {
 		t.Fatalf("warm: %s", resp.Failure.Message)
@@ -154,9 +192,6 @@ func TestIncrementalBenchSmoke(t *testing.T) {
 	}
 	if info.Solved == 0 {
 		t.Errorf("body edit re-solved nothing: %+v", info)
-	}
-	if len(info.Delta.Changed) == 0 {
-		t.Errorf("body edit produced no declaration delta: %+v", info)
 	}
 
 	comment := req

@@ -55,11 +55,6 @@ type Options struct {
 	// Memo, when non-nil, lets per-module solves replay
 	// content-addressed component summaries.
 	Memo *solve.Memo
-	// Cache, when non-nil, memoizes whole-module outcomes
-	// content-addressed over source, options, and dependency
-	// fingerprints — editing a package invalidates exactly its
-	// downstream cone.
-	Cache *SummaryCache
 	// Trace, when non-nil, receives one span per scheduled module
 	// (category "modgraph"), parented under TraceParent; the module's
 	// own solver components nest under its span. The runner schedules
@@ -82,9 +77,9 @@ type ModeOutcome struct {
 	Errors []Finding `json:"errors"`
 }
 
-// Outcome is the distilled, cache-replayable analysis outcome of one
-// module: the Section 7 locking report with rendered positions,
-// indexed by core.Variant*.
+// Outcome is the distilled analysis outcome of one module: the
+// Section 7 locking report with rendered positions, indexed by
+// core.Variant*.
 type Outcome struct {
 	Sites   int                           `json:"sites"`
 	Planted int                           `json:"planted"`
@@ -100,11 +95,9 @@ type ModuleResult struct {
 	Name string
 	// Deps are the declared import paths, sorted and deduplicated.
 	Deps []string
-	// Module carries the loaded AST and diagnostics (nil when the
-	// outcome was replayed from the summary cache).
+	// Module carries the loaded AST and diagnostics.
 	Module *core.Module
-	// Locking is the full per-module result (nil on cache replay or
-	// failure).
+	// Locking is the full per-module result (nil on failure).
 	Locking *core.LockingResult
 	// Outcome is the distilled report (nil when the module failed).
 	Outcome *Outcome
@@ -115,11 +108,6 @@ type ModuleResult struct {
 	Err error
 	// Cyclic marks members of an import cycle.
 	Cyclic bool
-	// CacheHit marks outcomes replayed from the summary cache.
-	CacheHit bool
-	// Fingerprint is the content-addressed identity of this module's
-	// analysis: source, options, and dependency fingerprints.
-	Fingerprint [32]byte
 }
 
 // Failed reports whether the module produced no outcome.

@@ -114,7 +114,7 @@ func TestCrossModuleDifferential(t *testing.T) {
 }
 
 // TestParallelDeterminism checks that the DAG pass produces identical
-// outcomes and fingerprints regardless of worker count.
+// outcomes regardless of worker count.
 func TestParallelDeterminism(t *testing.T) {
 	srcs := stackSources(8)
 	seq := Analyze(srcs, Options{Workers: 1})
@@ -124,9 +124,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	for name, sm := range seq.Modules {
 		pm := par.Modules[name]
-		if sm.Fingerprint != pm.Fingerprint {
-			t.Errorf("%s: fingerprint differs across worker counts", name)
-		}
 		if !reflect.DeepEqual(sm.Outcome, pm.Outcome) {
 			t.Errorf("%s: outcome differs across worker counts", name)
 		}
@@ -238,83 +235,6 @@ func TestSingleModuleUnchanged(t *testing.T) {
 	want := distill(m, lr)
 	if !reflect.DeepEqual(mr.Outcome, want) {
 		t.Fatalf("modgraph outcome %+v != direct outcome %+v", mr.Outcome, want)
-	}
-}
-
-// TestSummaryCacheInvalidation checks the content-addressed cache:
-// an unchanged rerun replays every module; editing a library
-// invalidates exactly that library and its downstream import cone.
-func TestSummaryCacheInvalidation(t *testing.T) {
-	cache := NewSummaryCache()
-	srcs := stackSources(4) // xhdr, xio, xqueue, xdrv00..03
-
-	first := Analyze(srcs, Options{Cache: cache})
-	if f := first.Failures(); len(f) != 0 {
-		t.Fatalf("failures: %v", f)
-	}
-	for name, mr := range first.Modules {
-		if mr.CacheHit {
-			t.Fatalf("%s: hit on cold cache", name)
-		}
-	}
-
-	second := Analyze(srcs, Options{Cache: cache})
-	for name, mr := range second.Modules {
-		if !mr.CacheHit {
-			t.Fatalf("%s: miss on warm cache", name)
-		}
-		if !reflect.DeepEqual(mr.Outcome, first.Modules[name].Outcome) {
-			t.Fatalf("%s: replayed outcome differs", name)
-		}
-	}
-
-	// Edit xio (a comment suffices: the fingerprint is content-based).
-	edited := make([]Source, len(srcs))
-	copy(edited, srcs)
-	for i := range edited {
-		if edited[i].Name == "xio" {
-			edited[i].Text += "// rev2\n"
-		}
-	}
-	third := Analyze(edited, Options{Cache: cache})
-	wantMiss := map[string]bool{"xio": true}
-	for _, m := range drivergen.XStack(4) {
-		for _, d := range m.Deps {
-			if d == "xio" {
-				wantMiss[m.Name] = true
-			}
-		}
-	}
-	for name, mr := range third.Modules {
-		if wantMiss[name] && mr.CacheHit {
-			t.Errorf("%s: want re-analysis after upstream edit, got cache hit", name)
-		}
-		if !wantMiss[name] && !mr.CacheHit {
-			t.Errorf("%s: want cache hit (outside the edited cone), got miss", name)
-		}
-	}
-	// The edit was semantically neutral, so downstream outcomes match.
-	for name, mr := range third.Modules {
-		if !reflect.DeepEqual(mr.Outcome, first.Modules[name].Outcome) {
-			t.Errorf("%s: outcome changed after neutral edit", name)
-		}
-	}
-}
-
-// TestHavocAndSummaryCacheSeparate checks the two modes never share
-// cache entries (options are part of the fingerprint).
-func TestHavocAndSummaryCacheSeparate(t *testing.T) {
-	cache := NewSummaryCache()
-	srcs := stackSources(1)
-	Analyze(srcs, Options{Cache: cache})
-	res := Analyze(srcs, Options{Cache: cache, Havoc: true})
-	for name, mr := range res.Modules {
-		if mr.CacheHit {
-			t.Fatalf("%s: havoc run hit a summary-mode entry", name)
-		}
-	}
-	if hits, _ := cache.Stats(); hits != 0 {
-		t.Fatalf("hits = %d, want 0", hits)
 	}
 }
 

@@ -70,12 +70,45 @@ func ParseExpr(src string, diags *source.Diagnostics) ast.Expr {
 	return e
 }
 
+// MaxNesting bounds the depth of the syntax tree the parser builds.
+// Each block, else-if, parenthesized or prefix expression, binary
+// operator, postfix index or selector, and ref or array type counts
+// one level. Every later pass walks the tree recursively, and a Go
+// stack overflow is a fatal error that no recover can contain, so
+// without a bound a few megabytes of "((((" kill the process. The
+// limit is far above any corpus or progen program, and every
+// analysis mode, the interpreter and the printer finish quickly on a
+// tree this deep.
+const MaxNesting = 1000
+
 type parser struct {
 	file  *source.File
 	diags *source.Diagnostics
 	toks  []lexer.Token
 	pos   int
+	// depth is the current nesting level (see MaxNesting); abandoned
+	// is set once the limit is hit and the rest of the input skipped.
+	depth     int
+	abandoned bool
 }
+
+// nest enters one nesting level and reports whether that is allowed.
+// Past MaxNesting it reports one positioned diagnostic, skips to EOF
+// and leaves depth unchanged; callers that got true call unnest.
+func (p *parser) nest() bool {
+	if p.depth < MaxNesting {
+		p.depth++
+		return true
+	}
+	if !p.abandoned {
+		p.errorf(p.span(), "nesting too deep (more than %d levels)", MaxNesting)
+		p.abandoned = true
+		p.pos = len(p.toks) - 1
+	}
+	return false
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) tok() lexer.Token  { return p.toks[p.pos] }
 func (p *parser) kind() token.Kind  { return p.toks[p.pos].Kind }
@@ -100,6 +133,11 @@ func (p *parser) accept(k token.Kind) bool {
 }
 
 func (p *parser) errorf(sp source.Span, format string, args ...any) {
+	// Once the input is abandoned, every open construct would report
+	// a missing closer at EOF; the nesting diagnostic says it all.
+	if p.abandoned {
+		return
+	}
 	p.diags.Errorf(p.file, sp, "parse", format, args...)
 }
 
@@ -254,7 +292,11 @@ func (p *parser) typeExpr() ast.TypeExpr {
 		t = &ast.PrimType{Kind: ast.PrimLock, Sp: sp}
 	case token.KwRef:
 		p.advance()
+		if !p.nest() {
+			return &ast.PrimType{Kind: ast.PrimInt, Sp: sp}
+		}
 		elem := p.typeExpr()
+		p.unnest()
 		return &ast.RefType{Elem: elem, Sp: sp.Union(elem.Span())}
 	case token.Ident:
 		name := p.advance()
@@ -263,7 +305,9 @@ func (p *parser) typeExpr() ast.TypeExpr {
 		p.errorf(sp, "expected type, found %q", p.kind())
 		t = &ast.PrimType{Kind: ast.PrimInt, Sp: sp}
 	}
-	for p.at(token.LBrack) {
+	levels := 0
+	for p.at(token.LBrack) && p.nest() {
+		levels++
 		p.advance()
 		szTok := p.expect(token.Int)
 		size, _ := strconv.Atoi(szTok.Lit)
@@ -276,6 +320,7 @@ func (p *parser) typeExpr() ast.TypeExpr {
 		end := p.expect(token.RBrack).Span
 		t = &ast.ArrayType{Elem: t, Size: size, Sp: sp.Union(end)}
 	}
+	p.depth -= levels
 	return t
 }
 
@@ -283,6 +328,9 @@ func (p *parser) typeExpr() ast.TypeExpr {
 // Statements
 
 func (p *parser) block() *ast.Block {
+	if !p.nest() {
+		return &ast.Block{Sp: p.span()}
+	}
 	start := p.expect(token.LBrace).Span
 	b := &ast.Block{}
 	for !p.at(token.RBrace) && !p.at(token.EOF) {
@@ -295,6 +343,7 @@ func (p *parser) block() *ast.Block {
 	}
 	end := p.expect(token.RBrace).Span
 	b.Sp = start.Union(end)
+	p.unnest()
 	return b
 }
 
@@ -372,7 +421,11 @@ func (p *parser) ifStmt() ast.Stmt {
 	s := &ast.IfStmt{Cond: cond, Then: then, Sp: start.Union(then.Span())}
 	if p.accept(token.KwElse) {
 		if p.at(token.KwIf) {
+			if !p.nest() {
+				return s
+			}
 			inner := p.ifStmt()
+			p.unnest()
 			s.Else = &ast.Block{Stmts: []ast.Stmt{inner}, Sp: inner.Span()}
 		} else {
 			s.Else = p.block()
@@ -421,9 +474,10 @@ func (p *parser) expr() ast.Expr { return p.binary(1) }
 
 func (p *parser) binary(minPrec int) ast.Expr {
 	lhs := p.unary()
-	for {
+	for levels := 0; ; levels++ {
 		prec := p.kind().Precedence()
-		if prec < minPrec {
+		if prec < minPrec || !p.nest() {
+			p.depth -= levels
 			return lhs
 		}
 		op := p.advance().Kind
@@ -434,43 +488,53 @@ func (p *parser) binary(minPrec int) ast.Expr {
 
 func (p *parser) unary() ast.Expr {
 	sp := p.span()
+	if !p.nest() {
+		return &ast.IntLit{Value: 0, Sp: sp}
+	}
+	var e ast.Expr
 	switch p.kind() {
 	case token.Star:
 		p.advance()
 		x := p.unary()
-		return &ast.DerefExpr{X: x, Sp: sp.Union(x.Span())}
+		e = &ast.DerefExpr{X: x, Sp: sp.Union(x.Span())}
 	case token.Amp:
 		p.advance()
 		x := p.unary()
-		return &ast.AddrExpr{X: x, Sp: sp.Union(x.Span())}
+		e = &ast.AddrExpr{X: x, Sp: sp.Union(x.Span())}
 	case token.Not:
 		p.advance()
 		x := p.unary()
-		return &ast.UnExpr{Op: token.Not, X: x, Sp: sp.Union(x.Span())}
+		e = &ast.UnExpr{Op: token.Not, X: x, Sp: sp.Union(x.Span())}
 	case token.Minus:
 		p.advance()
 		x := p.unary()
-		return &ast.UnExpr{Op: token.Minus, X: x, Sp: sp.Union(x.Span())}
+		e = &ast.UnExpr{Op: token.Minus, X: x, Sp: sp.Union(x.Span())}
 	case token.KwNew:
 		p.advance()
 		x := p.unary()
-		return &ast.NewExpr{Init: x, Sp: sp.Union(x.Span())}
+		e = &ast.NewExpr{Init: x, Sp: sp.Union(x.Span())}
 	default:
-		return p.postfix()
+		e = p.postfix()
 	}
+	p.unnest()
+	return e
 }
 
 func (p *parser) postfix() ast.Expr {
 	e := p.primary()
-	for {
-		switch p.kind() {
+	for levels := 0; ; levels++ {
+		k := p.kind()
+		if (k != token.LBrack && k != token.Dot && k != token.Arrow) || !p.nest() {
+			p.depth -= levels
+			return e
+		}
+		p.advance()
+		switch k {
 		case token.LBrack:
-			p.advance()
 			idx := p.expr()
 			end := p.expect(token.RBrack).Span
 			e = &ast.IndexExpr{X: e, Index: idx, Sp: e.Span().Union(end)}
 		case token.Dot:
-			p.advance()
 			name := p.expect(token.Ident)
 			if v, ok := e.(*ast.VarExpr); ok && p.at(token.LParen) {
 				// Qualified call pkg.fn(args) into an imported module.
@@ -485,15 +549,12 @@ func (p *parser) postfix() ast.Expr {
 				end := p.expect(token.RParen).Span
 				call.Sp = e.Span().Union(end)
 				e = call
-				continue
+			} else {
+				e = &ast.FieldExpr{X: e, Name: name.Lit, Sp: e.Span().Union(name.Span)}
 			}
-			e = &ast.FieldExpr{X: e, Name: name.Lit, Sp: e.Span().Union(name.Span)}
 		case token.Arrow:
-			p.advance()
 			name := p.expect(token.Ident)
 			e = &ast.FieldExpr{X: e, Name: name.Lit, Arrow: true, Sp: e.Span().Union(name.Span)}
-		default:
-			return e
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"localalias/internal/ast"
+	"localalias/internal/drivergen"
+	"localalias/internal/progen"
 	"localalias/internal/source"
 )
 
@@ -315,5 +318,71 @@ func TestCountNodes(t *testing.T) {
 	n := ast.CountNodes(prog)
 	if n < 8 {
 		t.Errorf("CountNodes too small: %d", n)
+	}
+}
+
+// nestedSource returns a program whose innermost node sits at nesting
+// level levels (see MaxNesting), built from one repeated construct:
+// parenthesized expressions, prefix operators, or blocks. The function
+// body's block and the let initializer count as the first two levels.
+func nestedSource(shape string, levels int) string {
+	switch shape {
+	case "parens":
+		k := levels - 2
+		return "fun main() { let x = " + strings.Repeat("(", k) + "1" + strings.Repeat(")", k) + "; }\n"
+	case "prefix":
+		return "fun main() { let x = " + strings.Repeat("-", levels-2) + "1; }\n"
+	default:
+		return "fun main() " + strings.Repeat("{", levels) + strings.Repeat("}", levels) + "\n"
+	}
+}
+
+// TestNestingLimit: each recursive shape parses at exactly MaxNesting,
+// and one level more — or a million, about 2 MB of source — yields a
+// single positioned diagnostic instead of exhausting the Go stack.
+func TestNestingLimit(t *testing.T) {
+	for _, shape := range []string{"parens", "prefix", "blocks"} {
+		t.Run(shape, func(t *testing.T) {
+			parseOK(t, nestedSource(shape, MaxNesting))
+			for _, levels := range []int{MaxNesting + 1, 1_000_000} {
+				src := nestedSource(shape, levels)
+				// The token that would open level MaxNesting+1.
+				at := len("fun main() { let x = ") + MaxNesting - 1
+				if shape == "blocks" {
+					at = len("fun main() ") + MaxNesting
+				}
+				diags := parseBad(t, src)
+				if len(diags.List) != 1 {
+					t.Fatalf("levels=%d: %d diagnostics, want exactly one:\n%.2000s", levels, len(diags.List), diags.String())
+				}
+				d := diags.List[0]
+				if !strings.Contains(d.Message, "nesting too deep") {
+					t.Errorf("levels=%d: diagnostic %q, want nesting too deep", levels, d.Message)
+				}
+				if int(d.Span.Start) != at {
+					t.Errorf("levels=%d: diagnostic at offset %d, want %d", levels, d.Span.Start, at)
+				}
+			}
+		})
+	}
+}
+
+// TestNestingLimitAboveCorpus: no corpus or progen program comes near
+// the nesting limit (the deepest measured reach 6 and 9 levels).
+func TestNestingLimitAboveCorpus(t *testing.T) {
+	check := func(name, src string) {
+		var diags source.Diagnostics
+		Parse(name, src, &diags)
+		for _, d := range diags.List {
+			if strings.Contains(d.Message, "nesting too deep") {
+				t.Fatalf("%s: %s", name, d)
+			}
+		}
+	}
+	for _, m := range drivergen.Corpus() {
+		check(m.Name+".mc", m.Source())
+	}
+	for seed := int64(0); seed < 500; seed++ {
+		check(fmt.Sprintf("progen%d.mc", seed), progen.Generate(seed))
 	}
 }

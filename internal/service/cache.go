@@ -1,13 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
+	"localalias/internal/lru"
 	"localalias/internal/obs"
 )
 
@@ -55,42 +54,21 @@ func CacheKey(req *AnalyzeRequest) string {
 }
 
 // CacheStats is a snapshot of the cache's accounting.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
+type CacheStats = lru.Stats
 
 // Cache is a bounded LRU mapping cache keys to canonical response
 // bytes. It is safe for concurrent use. The values are the exact
 // bytes the cold run produced, so a hit replays them byte-identically.
 type Cache struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	entries   map[string]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type cacheEntry struct {
-	key string
-	val []byte
+	lru *lru.Cache[string, []byte]
 }
 
 // NewCache builds a cache holding at most capacity entries (minimum 1).
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element, capacity),
-	}
+	a := obs.App()
+	return &Cache{lru: lru.New[string, []byte](capacity, lru.Counters{
+		Hits: a.CacheHits, Misses: a.CacheMisses, Evictions: a.CacheEvictions,
+	})}
 }
 
 // Get returns the cached bytes for key, marking the entry most
@@ -98,18 +76,10 @@ func NewCache(capacity int) *Cache {
 // The returned slice is the caller's to keep: it is a copy, so
 // mutating it cannot corrupt the canonical bytes later hits replay.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	val, ok := c.lru.Get(key)
 	if !ok {
-		c.misses++
-		obs.App().CacheMisses.Inc()
 		return nil, false
 	}
-	c.hits++
-	obs.App().CacheHits.Inc()
-	c.ll.MoveToFront(el)
-	val := el.Value.(*cacheEntry).val
 	out := make([]byte, len(val))
 	copy(out, val)
 	return out, true
@@ -122,32 +92,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 func (c *Cache) Put(key string, val []byte) {
 	stored := make([]byte, len(val))
 	copy(stored, val)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = stored
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: stored})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-		obs.App().CacheEvictions.Inc()
-	}
+	c.lru.Put(key, stored)
 }
 
 // Stats returns a snapshot of the accounting counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-	}
-}
+func (c *Cache) Stats() CacheStats { return c.lru.Stats() }

@@ -1,21 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
-	"sync"
 	"time"
 
-	"localalias/internal/funcidx"
 	"localalias/internal/obs"
 	"localalias/internal/solve"
 )
-
-// DefaultSummaryEntries bounds the incremental engine's per-module
-// summary store (one entry per distinct module+options pair the daemon
-// has analyzed).
-const DefaultSummaryEntries = 1024
 
 // The incremental dispositions reported in the X-Lna-Incremental
 // header and counted by lna_incremental_requests_total.
@@ -46,112 +37,27 @@ type IncrementalInfo struct {
 	// vs computed fresh, over every solve the request performed.
 	Replayed int64
 	Solved   int64
-
-	// Delta is the declaration-level diff against the module's
-	// previously analyzed revision (zero value when this is the first
-	// sighting — see Prior).
-	Delta funcidx.Delta
-	// Invalidated lists the functions the delta conservatively dirties
-	// (the changed ones plus their transitive callers). The memo's
-	// content addressing decides what is actually re-solved; this is
-	// the human-readable account of why.
-	Invalidated []string
-	// Prior reports whether a previous revision of the module was in
-	// the summary store to diff against.
-	Prior bool
-}
-
-// summaryStore is a bounded LRU mapping module+options to the
-// funcidx.Index of the last successfully analyzed revision. Eviction
-// just loses the diff baseline: the next request for that module
-// reports Prior=false and leans entirely on the solve memo's content
-// addressing (correctness never depends on this store).
-type summaryStore struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List
-	entries  map[string]*list.Element
-}
-
-type summaryEntry struct {
-	key string
-	idx *funcidx.Index
-}
-
-func newSummaryStore(capacity int) *summaryStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &summaryStore{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element, capacity),
-	}
-}
-
-func (s *summaryStore) get(key string) *funcidx.Index {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*summaryEntry).idx
-}
-
-func (s *summaryStore) put(key string, idx *funcidx.Index) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*summaryEntry).idx = idx
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.entries[key] = s.ll.PushFront(&summaryEntry{key: key, idx: idx})
-	for s.ll.Len() > s.capacity {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.entries, oldest.Value.(*summaryEntry).key)
-	}
-}
-
-func (s *summaryStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
 }
 
 // Incremental is the summary-based re-analysis engine: a process-wide
-// solve memo (content-addressed component summaries) plus a per-module
-// summary store holding the declaration index of each module's last
-// analyzed revision. Analyze wraps AnalyzeBounded so that re-analyzing
-// an edited module re-solves only the constraint components the edit
-// actually changed — everything else replays from its summary,
-// byte-identical to a fresh cold run.
-//
-// The division of labour is deliberate: correctness rides entirely on
-// the memo's content addressing (a component replays only when its
-// fingerprint — structure, symbols, ranks — matches exactly), while
-// the funcidx diff is conservative bookkeeping that explains the
-// reuse to humans (which declarations changed, which functions they
-// dirty) and feeds the disposition header and metrics.
+// solve memo of content-addressed component summaries. Analyze wraps
+// AnalyzeBounded so that re-analyzing an edited module re-solves only
+// the constraint components the edit actually changed — everything
+// else replays from its summary, byte-identical to a fresh cold run.
+// Correctness rides entirely on the memo's content addressing: a
+// component replays only when its fingerprint (structure, symbols,
+// ranks) matches exactly.
 type Incremental struct {
-	memo  *solve.Memo
-	store *summaryStore
+	memo *solve.Memo
 }
 
 // NewIncremental builds an engine over the given memo (nil builds one
-// with solve.DefaultMemoEntries) holding up to summaryEntries module
-// baselines (<=0 = DefaultSummaryEntries).
-func NewIncremental(memo *solve.Memo, summaryEntries int) *Incremental {
+// with solve.DefaultMemoEntries).
+func NewIncremental(memo *solve.Memo) *Incremental {
 	if memo == nil {
 		memo = solve.NewMemo(DefaultMemoEntries())
 	}
-	if summaryEntries <= 0 {
-		summaryEntries = DefaultSummaryEntries
-	}
-	return &Incremental{memo: memo, store: newSummaryStore(summaryEntries)}
+	return &Incremental{memo: memo}
 }
 
 // DefaultMemoEntries re-exports the solve package's default so `lna
@@ -161,40 +67,15 @@ func DefaultMemoEntries() int { return solve.DefaultMemoEntries }
 // Memo exposes the underlying solve memo (for stats endpoints).
 func (inc *Incremental) Memo() *solve.Memo { return inc.memo }
 
-// Summaries reports how many module baselines are resident.
-func (inc *Incremental) Summaries() int { return inc.store.len() }
-
-// incrementalKey identifies a module baseline: the module name plus
-// the canonical options encoding. Source deliberately excluded — the
-// point is to find the *previous* revision of the same module.
-func incrementalKey(req *AnalyzeRequest) string {
-	opts := req.Options
-	if opts.Mode == "" {
-		opts.Mode = ModeQual
-	}
-	enc, _ := json.Marshal(opts)
-	return req.Module + "\x00" + string(enc)
-}
-
 // Analyze runs one request through AnalyzeBounded with the engine's
-// memo injected, diffs the module against its previous revision, and
-// reports the reuse disposition. The response is byte-identical to
-// what a memo-less run would produce (pinned by the differential
-// tests); only the work performed differs.
+// memo injected and reports the reuse disposition. The response is
+// byte-identical to what a memo-less run would produce (pinned by the
+// differential tests); only the work performed differs.
 func (inc *Incremental) Analyze(ctx context.Context, req *AnalyzeRequest, timeout time.Duration) (*AnalyzeResponse, *IncrementalInfo) {
-	// Generated sources have no bytes to index until the guard runs;
-	// such requests bypass the incremental machinery entirely.
+	// Generated sources (the corpus drivers' seam) bypass the engine
+	// and report no disposition.
 	if req.Generate != nil {
 		return AnalyzeBounded(ctx, req, timeout), nil
-	}
-
-	info := &IncrementalInfo{}
-	key := incrementalKey(req)
-	newIdx := funcidx.Build(req.Module, req.Source)
-	if prior := inc.store.get(key); prior != nil {
-		info.Prior = true
-		info.Delta = funcidx.Diff(prior, newIdx)
-		info.Invalidated = funcidx.Invalidated(prior, newIdx, info.Delta)
 	}
 
 	counters := req.MemoCounters
@@ -206,8 +87,10 @@ func (inc *Incremental) Analyze(ctx context.Context, req *AnalyzeRequest, timeou
 	run.MemoCounters = counters
 	resp := AnalyzeBounded(ctx, &run, timeout)
 
-	info.Replayed = counters.Replayed.Load()
-	info.Solved = counters.Solved.Load()
+	info := &IncrementalInfo{
+		Replayed: counters.Replayed.Load(),
+		Solved:   counters.Solved.Load(),
+	}
 	switch {
 	case info.Replayed == 0:
 		info.Disposition = IncrementalCold
@@ -217,11 +100,5 @@ func (inc *Incremental) Analyze(ctx context.Context, req *AnalyzeRequest, timeou
 		info.Disposition = IncrementalPartial
 	}
 	obs.App().Incremental(info.Disposition).Inc()
-
-	// Only a healthy run becomes the next diff baseline: a panicked or
-	// timed-out analysis proves nothing about the module's revision.
-	if resp.Failure == nil {
-		inc.store.put(key, newIdx)
-	}
 	return resp, info
 }

@@ -69,7 +69,7 @@ func incAnalyze(t *testing.T, inc *Incremental, src string) (*AnalyzeResponse, *
 // states: first sighting (cold), identical resubmission (full replay),
 // and a one-function edit (partial — the untouched functions replay).
 func TestIncrementalDispositions(t *testing.T) {
-	inc := NewIncremental(solve.NewMemo(1024), 16)
+	inc := NewIncremental(solve.NewMemo(1024))
 
 	_, info := incAnalyze(t, inc, incBase)
 	// A first sighting must solve fresh work — but qual mode runs two
@@ -79,16 +79,10 @@ func TestIncrementalDispositions(t *testing.T) {
 	if info.Solved == 0 || info.Disposition == IncrementalFull {
 		t.Fatalf("first sighting: %+v, want fresh solves", info)
 	}
-	if info.Prior {
-		t.Fatal("first sighting claims a prior revision")
-	}
 
 	_, info = incAnalyze(t, inc, incBase)
 	if info.Disposition != IncrementalFull || info.Solved != 0 || info.Replayed == 0 {
 		t.Fatalf("identical resubmission: %+v, want full replay", info)
-	}
-	if !info.Prior || !info.Delta.Empty() || len(info.Invalidated) != 0 {
-		t.Fatalf("identical resubmission: delta should be empty, got %+v", info)
 	}
 
 	// The edit must change beta's constraint system, not just its
@@ -100,55 +94,19 @@ func TestIncrementalDispositions(t *testing.T) {
 	if info.Disposition != IncrementalPartial {
 		t.Fatalf("one-function edit: %+v, want partial (replayed>0 and solved>0)", info)
 	}
-	if len(info.Delta.Changed) != 1 || info.Delta.Changed[0] != "fun beta" {
-		t.Fatalf("one-function edit: delta = %+v, want changed=[fun beta]", info.Delta)
-	}
-	if len(info.Invalidated) != 1 || info.Invalidated[0] != "beta" {
-		t.Fatalf("one-function edit: invalidated = %v, want [beta]", info.Invalidated)
-	}
 }
 
 // TestIncrementalCommentEditFullReplay pins the trivia rule end to
 // end: a comment/whitespace-only edit changes the cache key (different
-// bytes) but re-solves nothing — every component replays, and the
-// declaration diff is empty.
+// bytes) but re-solves nothing — every component replays.
 func TestIncrementalCommentEditFullReplay(t *testing.T) {
-	inc := NewIncremental(solve.NewMemo(1024), 16)
+	inc := NewIncremental(solve.NewMemo(1024))
 	incAnalyze(t, inc, incBase)
 
 	edited := "// a new header comment\n/* shifting\n   every span */\n" + incBase
 	_, info := incAnalyze(t, inc, edited)
 	if info.Disposition != IncrementalFull || info.Solved != 0 {
 		t.Fatalf("trivia edit: %+v, want full replay with zero fresh solves", info)
-	}
-	if !info.Delta.Empty() || len(info.Invalidated) != 0 {
-		t.Fatalf("trivia edit: delta = %+v invalidated = %v, want none", info.Delta, info.Invalidated)
-	}
-}
-
-// TestIncrementalRenameReportsCallers: a rename surfaces as
-// remove+add in the delta, and the dangling callers are reported
-// invalidated.
-func TestIncrementalRenameReportsCallers(t *testing.T) {
-	src := incBase + `
-fun caller(w: ref int): int {
-    return gamma(w);
-}
-`
-	inc := NewIncremental(solve.NewMemo(1024), 16)
-	incAnalyze(t, inc, src)
-
-	renamed := strings.Replace(src, "fun gamma(", "fun delta(", 1)
-	_, info := incAnalyze(t, inc, renamed)
-	if len(info.Delta.Added) != 1 || len(info.Delta.Removed) != 1 {
-		t.Fatalf("rename delta = %+v, want one add and one remove", info.Delta)
-	}
-	found := map[string]bool{}
-	for _, f := range info.Invalidated {
-		found[f] = true
-	}
-	if !found["delta"] || !found["caller"] {
-		t.Fatalf("rename invalidated %v, want delta (new name) and caller (dangles)", info.Invalidated)
 	}
 }
 
@@ -157,7 +115,7 @@ fun caller(w: ref int): int {
 // nothing to replay — and still produces byte-identical results (the
 // incAnalyze helper checks that each time).
 func TestIncrementalMemoEvictionFallsBackCold(t *testing.T) {
-	inc := NewIncremental(solve.NewMemo(1), 16)
+	inc := NewIncremental(solve.NewMemo(1))
 	incAnalyze(t, inc, incBase)
 	_, info := incAnalyze(t, inc, incBase)
 	if info.Solved == 0 {
@@ -168,35 +126,11 @@ func TestIncrementalMemoEvictionFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestIncrementalSummaryStoreEviction: evicting a module's baseline
-// loses the diff report (Prior=false) but nothing else — the solve
-// memo still replays, so the work saved is unchanged.
-func TestIncrementalSummaryStoreEviction(t *testing.T) {
-	inc := NewIncremental(solve.NewMemo(1024), 1)
-	req := func(module, src string) (*AnalyzeResponse, *IncrementalInfo) {
-		return inc.Analyze(context.Background(),
-			&AnalyzeRequest{Module: module, Source: src,
-				Options: AnalyzeOptions{Mode: ModeQual}}, 0)
-	}
-	req("a.mc", incBase)
-	req("b.mc", incBase) // capacity 1: evicts a.mc's baseline
-	if got := inc.Summaries(); got != 1 {
-		t.Fatalf("summary store holds %d baselines, want 1", got)
-	}
-	_, info := req("a.mc", incBase)
-	if info.Prior {
-		t.Fatal("a.mc's baseline should have been evicted")
-	}
-	if info.Disposition != IncrementalFull {
-		t.Fatalf("a.mc resubmission: %+v, want full replay from the (separate) solve memo", info)
-	}
-}
-
 // TestIncrementalGenerateBypass: requests synthesizing their source
-// inside the fault guard have no bytes to index, so they bypass the
-// incremental machinery (nil info) and still analyze fine.
+// inside the fault guard bypass the incremental machinery (nil info)
+// and still analyze fine.
 func TestIncrementalGenerateBypass(t *testing.T) {
-	inc := NewIncremental(solve.NewMemo(1024), 16)
+	inc := NewIncremental(solve.NewMemo(1024))
 	req := &AnalyzeRequest{Module: "gen.mc",
 		Options:  AnalyzeOptions{Mode: ModeQual},
 		Generate: func(ctx context.Context) string { return incBase }}

@@ -79,11 +79,6 @@ type ServerOptions struct {
 	// byte-identical to solving fresh, so — like SolverWorkers — it
 	// stays out of the result cache key.
 	MemoEntries int
-	// SummaryEntries bounds the per-module baseline store the
-	// incremental engine diffs new revisions against
-	// (0 = DefaultSummaryEntries). Eviction only loses diff
-	// reporting, never correctness.
-	SummaryEntries int
 	// TraceEntries bounds the ring buffer of recently completed traces
 	// served by /v1/trace/{id} (0 = DefaultTraceEntries; negative
 	// disables trace retention entirely — requests still get spans and
@@ -109,9 +104,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.MemoEntries == 0 {
 		o.MemoEntries = DefaultMemoEntries()
-	}
-	if o.SummaryEntries <= 0 {
-		o.SummaryEntries = DefaultSummaryEntries
 	}
 	if o.TraceEntries == 0 {
 		o.TraceEntries = DefaultTraceEntries
@@ -184,7 +176,7 @@ func NewServer(opts ServerOptions) *Server {
 		traces:  obs.NewTraceRing(o.TraceEntries),
 	}
 	if o.MemoEntries > 0 {
-		s.inc = NewIncremental(solve.NewMemo(o.MemoEntries), o.SummaryEntries)
+		s.inc = NewIncremental(solve.NewMemo(o.MemoEntries))
 	}
 	reg := obs.Default()
 	s.mRequests = reg.Counter("lna_http_requests_total",
@@ -226,10 +218,8 @@ type ServerStats struct {
 	Cache          CacheStats `json:"cache"`
 	RequestTimeout string     `json:"request_timeout"`
 	// Memo is the solve-component summary memo backing incremental
-	// re-analysis (nil when disabled); Summaries counts the resident
-	// per-module diff baselines.
-	Memo      *solve.MemoStats `json:"memo,omitempty"`
-	Summaries int              `json:"summaries,omitempty"`
+	// re-analysis (nil when disabled).
+	Memo *solve.MemoStats `json:"memo,omitempty"`
 }
 
 // Handler returns the service's HTTP handler.
@@ -711,7 +701,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.inc != nil {
 		ms := s.inc.Memo().Stats()
 		st.Memo = &ms
-		st.Summaries = s.inc.Summaries()
 	}
 	_ = enc.Encode(st)
 }

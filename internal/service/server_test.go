@@ -535,3 +535,34 @@ func TestListenAndServeGracefulDrain(t *testing.T) {
 		t.Fatal("server did not drain")
 	}
 }
+
+// TestServerSurvivesDeepNesting: a request nesting a million
+// parentheses (about 2 MB, far under the body limit) used to overflow
+// the parser's Go stack, a fatal error that took the daemon down with
+// it. It must come back as a positioned parse diagnostic, and the
+// daemon must go on serving.
+func TestServerSurvivesDeepNesting(t *testing.T) {
+	_, c := newTestServer(t, service.ServerOptions{})
+	const k = 1_000_000
+	deep := service.AnalyzeRequest{Module: "deep.mc",
+		Source:  "fun main() { let x = " + strings.Repeat("(", k) + "1" + strings.Repeat(")", k) + "; }\n",
+		Options: service.AnalyzeOptions{Mode: service.ModeQual}}
+	resp, _, err := c.Analyze(context.Background(), &deep)
+	if err != nil {
+		t.Fatalf("deep request: %v", err)
+	}
+	if resp.OK || resp.Failure != nil || len(resp.Diagnostics.Diags) != 1 {
+		t.Fatalf("deep request: ok=%v failure=%+v diagnostics=%+v; want one parse diagnostic",
+			resp.OK, resp.Failure, resp.Diagnostics.Diags)
+	}
+	if d := resp.Diagnostics.Diags[0]; d.Phase != "parse" || !strings.HasPrefix(d.Pos, "deep.mc:1:") ||
+		!strings.Contains(d.Message, "nesting too deep") {
+		t.Errorf("deep request diagnostic = %+v", d)
+	}
+
+	next := service.AnalyzeRequest{Module: "clean.mc", Source: service.CleanCheckSrc,
+		Options: service.AnalyzeOptions{Mode: service.ModeCheck}}
+	if resp, _, err := c.Analyze(context.Background(), &next); err != nil || !resp.OK {
+		t.Fatalf("request after the deep one: resp=%+v err=%v", resp, err)
+	}
+}

@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -14,6 +13,7 @@ import (
 	"localalias/internal/effects"
 	"localalias/internal/faults"
 	"localalias/internal/locs"
+	"localalias/internal/lru"
 	"localalias/internal/obs"
 )
 
@@ -96,13 +96,7 @@ type MemoCounters struct {
 }
 
 // MemoStats is a snapshot of a Memo's accounting.
-type MemoStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
+type MemoStats = lru.Stats
 
 // Memo is a bounded LRU of solved component summaries, keyed by
 // canonical component fingerprint. It is safe for concurrent use and
@@ -111,18 +105,7 @@ type MemoStats struct {
 // produced the entry, so identical helper functions dedupe across
 // modules for free.
 type Memo struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List
-	entries   map[[32]byte]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type memoEntry struct {
-	key [32]byte
-	sum *compSummary
+	lru *lru.Cache[[32]byte, *compSummary]
 }
 
 // NewMemo builds a memo holding at most capacity component summaries
@@ -131,58 +114,21 @@ func NewMemo(capacity int) *Memo {
 	if capacity <= 0 {
 		capacity = DefaultMemoEntries
 	}
-	return &Memo{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[[32]byte]*list.Element, capacity),
-	}
+	a := obs.App()
+	return &Memo{lru: lru.New[[32]byte, *compSummary](capacity, lru.Counters{
+		Hits: a.SolveMemoHits, Misses: a.SolveMemoMisses, Evictions: a.SolveMemoEvictions,
+	})}
 }
 
 func (m *Memo) get(key [32]byte) *compSummary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[key]
-	if !ok {
-		m.misses++
-		obs.App().SolveMemoMisses.Inc()
-		return nil
-	}
-	m.hits++
-	obs.App().SolveMemoHits.Inc()
-	m.ll.MoveToFront(el)
-	return el.Value.(*memoEntry).sum
+	sum, _ := m.lru.Get(key)
+	return sum
 }
 
-func (m *Memo) put(key [32]byte, sum *compSummary) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		el.Value.(*memoEntry).sum = sum
-		m.ll.MoveToFront(el)
-		return
-	}
-	m.entries[key] = m.ll.PushFront(&memoEntry{key: key, sum: sum})
-	for m.ll.Len() > m.capacity {
-		oldest := m.ll.Back()
-		m.ll.Remove(oldest)
-		delete(m.entries, oldest.Value.(*memoEntry).key)
-		m.evictions++
-		obs.App().SolveMemoEvictions.Inc()
-	}
-}
+func (m *Memo) put(key [32]byte, sum *compSummary) { m.lru.Put(key, sum) }
 
 // Stats returns a snapshot of the memo's accounting.
-func (m *Memo) Stats() MemoStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MemoStats{
-		Hits:      m.hits,
-		Misses:    m.misses,
-		Evictions: m.evictions,
-		Entries:   m.ll.Len(),
-		Capacity:  m.capacity,
-	}
-}
+func (m *Memo) Stats() MemoStats { return m.lru.Stats() }
 
 // compSummary is the stored solution of one component, everything in
 // component-local (position-independent) terms.
