@@ -281,11 +281,10 @@ func BenchmarkSolverPropagationTraced(b *testing.B) { experiments.BenchSolverPro
 
 // BenchmarkSolverSteadyState times exactly solve+Release per op (the
 // constraint system is rebuilt with the timer stopped) — the
-// per-request cost a resident daemon pays. The sub-benchmarks compare
-// the pooled sequential solver with the pooled partitioned solver.
+// per-request cost a resident daemon pays with the solver's pooled
+// storage.
 func BenchmarkSolverSteadyState(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, 1) })
-	b.Run("pooled-workers-4", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, 4) })
+	b.Run("pooled", experiments.BenchSolverSolveOnly)
 }
 
 // Guard: the scaling generator must produce type-correct programs.

@@ -179,7 +179,7 @@ func nestedProgram(shape string, levels int) string {
 // TestNestingLimitSubcommands: every subcommand finishes cleanly on a
 // program nested exactly to the parser's limit, and a million levels
 // (about 2 MB) is a positioned parse error rather than a stack
-// overflow that kills the process.
+// overflow that kills the process, rendered in under a kilobyte.
 func TestNestingLimitSubcommands(t *testing.T) {
 	bins := binaries(t)
 	dir := t.TempDir()
@@ -202,6 +202,11 @@ func TestNestingLimitSubcommands(t *testing.T) {
 			!strings.Contains(stdout+stderr, "nesting too deep") {
 			t.Errorf("lna check %s probe: exit %d, want 1 with a positioned nesting diagnostic\n%.300s%.300s",
 				shape, code, stdout, stderr)
+		}
+		// The probe is one 2 MB line; its diagnostic's excerpt is
+		// clipped around the span instead of echoing the line.
+		if n := len(stdout) + len(stderr); n >= 1024 {
+			t.Errorf("lna check %s probe: %d bytes of output, want under 1 KB\n%.300s", shape, n, stdout+stderr)
 		}
 	}
 }

@@ -67,10 +67,11 @@
 //
 //	-addr            listen address (default 127.0.0.1:8347; port 0
 //	                 picks a free port, printed on startup)
-//	-workers         analysis pool size (0 = GOMAXPROCS)
-//	-solver-workers  constraint-solver goroutines per module
-//	                 (default 1 = sequential; results identical)
+//	-workers         analysis pool size (0 = GOMAXPROCS); each
+//	                 request is analyzed on one goroutine
 //	-cache-entries   LRU result-cache capacity
+//	-memo-entries    solve-component memo capacity for incremental
+//	                 re-analysis (0 = default; negative disables)
 //	-queue-depth     max in-flight single requests before 429
 //	-request-timeout per-module analysis deadline
 //	-log-format      access-log rendering: text (default), json, or off
@@ -174,7 +175,6 @@ type options struct {
 
 	addr           string
 	workers        int
-	solverWorkers  int
 	cacheEntries   int
 	memoEntries    int
 	queueDepth     int
@@ -226,7 +226,6 @@ func main() {
 	fs.Var(&opt.libs, "lib", "library module file for cross-module analysis (repeatable; confine/qual only; import name = base name without extension)")
 	fs.StringVar(&opt.addr, "addr", "127.0.0.1:8347", "serve: listen address (port 0 picks a free port)")
 	fs.IntVar(&opt.workers, "workers", 0, "serve: analysis pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&opt.solverWorkers, "solver-workers", 1, "serve: constraint-solver goroutines per module (<=1 = sequential; results identical)")
 	fs.IntVar(&opt.cacheEntries, "cache-entries", service.DefaultCacheEntries, "serve: LRU result-cache capacity")
 	fs.IntVar(&opt.memoEntries, "memo-entries", 0, "serve: solve-component summary memo capacity for incremental re-analysis (0 = default; negative disables)")
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "serve: max in-flight single requests before 429 (0 = 4×workers)")
@@ -460,7 +459,6 @@ func renderResponse(cmd string, resp *service.AnalyzeResponse) {
 func runServe(opt options) int {
 	so := service.ServerOptions{
 		Workers:        opt.workers,
-		SolverWorkers:  opt.solverWorkers,
 		CacheEntries:   opt.cacheEntries,
 		MemoEntries:    opt.memoEntries,
 		QueueDepth:     opt.queueDepth,

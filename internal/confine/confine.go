@@ -67,10 +67,6 @@ type Options struct {
 	// confine.infer/confine.solve) for fault attribution in corpus
 	// runs.
 	Trace *faults.Trace
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency; <= 1 solves sequentially. Results are identical
-	// either way.
-	SolverWorkers int
 	// Memo, when non-nil, lets the solve replay content-addressed
 	// component summaries recorded by earlier solves (and record new
 	// ones). Replay is byte-identical to solving fresh.
@@ -148,7 +144,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 	}
 	opts.Trace.Enter(faults.PhaseConfineSolve)
 	res.Solution = solve.SolveOpts(opts.Ctx, res.Infer.Sys, solve.Options{
-		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
+		Memo: opts.Memo, Counters: opts.MemoCounters,
 	})
 	if effects.ReportMalformed(diags, prog.File, res.Solution.Malformed()) {
 		return res, fmt.Errorf("confine: %w", diags.Err())

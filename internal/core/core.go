@@ -94,7 +94,7 @@ func (m *Module) InferRestrict(params bool) *restrict.InferResult {
 }
 
 // InferRestrictWith is InferRestrict with full options (parameter
-// candidates, solver parallelism).
+// candidates, solver memo).
 func (m *Module) InferRestrictWith(opts restrict.Options) *restrict.InferResult {
 	return restrict.Infer(m.TInfo, m.Diags, opts)
 }
@@ -112,10 +112,6 @@ type LockingOptions struct {
 	// confine-inference mode (on by default: it recovers strong
 	// updates for locks held in local pointer bindings).
 	NoLets bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency for both solves; <= 1 solves sequentially. Results
-	// are identical either way.
-	SolverWorkers int
 	// Memo, when non-nil, lets both solves replay content-addressed
 	// component summaries recorded by earlier solves (and record new
 	// ones). Replay is byte-identical to solving fresh.
@@ -228,7 +224,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	}
 	tr.Enter(faults.PhaseSolve)
 	baseSol := solve.SolveOpts(ctx, baseInfer.Sys, solve.Options{
-		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
+		Memo: opts.Memo, Counters: opts.MemoCounters,
 	})
 	if err := m.reportMalformed(baseSol.Malformed()); err != nil {
 		return nil, err
@@ -245,7 +241,6 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		General:       opts.General,
 		Params:        !opts.NoParams,
 		Lets:          !opts.NoLets,
-		SolverWorkers: opts.SolverWorkers,
 		Memo:          opts.Memo,
 		MemoCounters:  opts.MemoCounters,
 		Ctx:           ctx,

@@ -148,10 +148,8 @@ func BenchConfineOverhead(b *testing.B, withConfine bool) {
 // isolation: every iteration rebuilds the constraint system with the
 // timer (and allocation accounting) stopped, then times exactly
 // solve+Release — the per-request cost a resident daemon pays, with
-// the solver's pooled scratch and retained storage. workers bounds
-// the partitioned solver's concurrency (<= 1 is the sequential drain
-// loop).
-func BenchSolverSolveOnly(b *testing.B, workers int) {
+// the solver's pooled scratch and retained storage.
+func BenchSolverSolveOnly(b *testing.B) {
 	src := ScalingProgram(200, 0)
 	mod, err := core.LoadModule("scale.mc", src)
 	if err != nil {
@@ -163,7 +161,7 @@ func BenchSolverSolveOnly(b *testing.B, workers int) {
 		b.StopTimer()
 		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{InferRestrictLets: true})
 		b.StartTimer()
-		sol := solve.SolveWorkers(nil, res.Sys, workers)
+		sol := solve.Solve(res.Sys)
 		if sol.AtomsPropagated == 0 {
 			b.Fatal("solver propagated no atoms on the scaling program")
 		}

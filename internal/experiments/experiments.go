@@ -159,12 +159,11 @@ var testFaultHook func(ctx context.Context, spec *drivergen.ModuleSpec)
 // module's wall-clock time so one pathological constraint system
 // cannot stall a worker. The corpus driver, the lna subcommands, and
 // the `lna serve` daemon therefore measure exactly the same pipeline.
-func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.Duration, traced bool, solverWorkers int) *ModuleResult {
+func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.Duration, traced bool) *ModuleResult {
 	out := &ModuleResult{Spec: spec}
 	req := &service.AnalyzeRequest{
-		Module:        spec.Name + ".mc",
-		Options:       service.AnalyzeOptions{Mode: service.ModeQual},
-		SolverWorkers: solverWorkers,
+		Module:  spec.Name + ".mc",
+		Options: service.AnalyzeOptions{Mode: service.ModeQual},
 		// Source generation runs inside the fault guard (attributed to
 		// the generate phase), with the fault-injection seam in front.
 		Generate: func(ctx context.Context) string {
@@ -234,11 +233,6 @@ type CorpusOptions struct {
 	// module's request. Off by default: the corpus benchmark compares
 	// this path against the traced one to bound tracing overhead.
 	Traced bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency within each module's solves (<= 1 solves
-	// sequentially). Orthogonal to the corpus-level worker pool, which
-	// parallelizes across modules; results are identical either way.
-	SolverWorkers int
 }
 
 // RunCorpus analyzes opts.Specs on a fixed pool of one worker per
@@ -270,7 +264,7 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) *CorpusResult {
 				if i >= len(specs) {
 					return
 				}
-				results[i] = analyzeSpec(ctx, specs[i], opts.ModuleTimeout, opts.Traced, opts.SolverWorkers)
+				results[i] = analyzeSpec(ctx, specs[i], opts.ModuleTimeout, opts.Traced)
 				if n := int(done.Add(1)); progress != nil && n%50 == 0 && n < len(specs) {
 					fmt.Fprintf(progress, "  ...%d/%d modules\n", n, len(specs))
 				}

@@ -212,43 +212,12 @@ func CheckDeadline(ctx context.Context) {
 }
 
 // ---------------------------------------------------------------------
-// Worker panic forwarding
-
-// WorkerPanic carries a panic captured on a helper goroutine (a
-// parallel solver worker) back to the goroutine running under the
-// Run/RunBounded guard. The guard unwraps it: the payload is
-// classified exactly as if it had been thrown on the guarded
-// goroutine itself — a CheckDeadline abort stays a timeout — and the
-// stack is the worker's, captured where the panic happened, not the
-// coordinator's re-throw site.
-type WorkerPanic struct {
-	// Val is the original panic payload.
-	Val any
-	// Stack is the worker goroutine's debug.Stack at recover time.
-	Stack []byte
-}
-
-// CaptureWorkerPanic wraps a recovered panic payload for re-throw on
-// the coordinating goroutine: the worker calls it inside its own
-// recover with the payload, and the coordinator panics with the
-// returned value under its Run/RunBounded guard. Deadline aborts pass
-// through undecorated (their conversion needs no stack).
-func CaptureWorkerPanic(p any) any {
-	if _, ok := p.(deadlineAbort); ok {
-		return p
-	}
-	return WorkerPanic{Val: p, Stack: debug.Stack()}
-}
-
-// ---------------------------------------------------------------------
 // Guards
 
 // Run executes fn under a recover guard, attributing any failure to
 // the trace's current phase. It returns nil on success; a panic
 // becomes a KindPanic failure with a trimmed stack, a CheckDeadline
 // abort becomes KindTimeout, and a returned error becomes KindError.
-// A WorkerPanic forwarded from a helper goroutine is unwrapped and
-// classified like a local panic, keeping the worker's stack.
 func Run(module string, tr *Trace, fn func() error) (fail *ModuleFailure) {
 	start := time.Now()
 	defer func() {
@@ -257,17 +226,6 @@ func Run(module string, tr *Trace, fn func() error) (fail *ModuleFailure) {
 			return
 		}
 		mf := &ModuleFailure{Module: module, Phase: tr.Current(), Elapsed: time.Since(start)}
-		if wp, ok := p.(WorkerPanic); ok {
-			if da, ok := wp.Val.(deadlineAbort); ok {
-				p = da
-			} else {
-				mf.Kind = KindPanic
-				mf.Message = fmt.Sprint(wp.Val)
-				mf.Stack = trimStack(wp.Stack)
-				fail = mf
-				return
-			}
-		}
 		if da, ok := p.(deadlineAbort); ok {
 			mf.Kind = KindTimeout
 			mf.Message = da.err.Error()
@@ -359,7 +317,6 @@ func trimStack(stack []byte) string {
 		fn := lines[i]
 		if strings.HasPrefix(fn, "runtime/debug.Stack") ||
 			strings.Contains(fn, "faults.Run.func") ||
-			strings.Contains(fn, "faults.CaptureWorkerPanic") ||
 			strings.HasPrefix(fn, "panic(") || strings.HasPrefix(fn, "runtime.gopanic") {
 			i += 2
 			continue

@@ -1,9 +1,9 @@
 // Package modgraph links separately-parsed MiniC modules into a whole
 // program. It builds the module dependency DAG from import
 // declarations, condenses it (cycle members are rejected with
-// positioned diagnostics, Go-style), and schedules a parallel
-// bottom-up pass over the condensation: each module is analyzed after
-// its dependencies, receiving their package summaries — exported
+// positioned diagnostics, Go-style), and runs a bottom-up pass over
+// the condensation on the calling goroutine: each module is analyzed
+// after its dependencies, receiving their package summaries — exported
 // signatures, qualifier transfer tables per experiment variant, and
 // per-formal effect masks — so call sites into imported functions
 // apply the callee's actual behavior instead of worst-case havoc.
@@ -17,12 +17,13 @@
 package modgraph
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"localalias/internal/ast"
 	"localalias/internal/core"
-	"localalias/internal/obs"
+	"localalias/internal/faults"
 	"localalias/internal/parser"
 	"localalias/internal/solve"
 	"localalias/internal/source"
@@ -37,9 +38,6 @@ type Source struct {
 
 // Options configures the whole-program pass.
 type Options struct {
-	// Workers bounds analysis concurrency over the dependency DAG;
-	// <= 1 runs sequentially. Results are identical either way.
-	Workers int
 	// Havoc disables summary application: imported calls degrade to
 	// worst-case effects, reproducing per-module analysis in
 	// isolation. The differential baseline for the summary pass.
@@ -49,21 +47,13 @@ type Options struct {
 	General  bool
 	NoParams bool
 	NoLets   bool
-	// SolverWorkers bounds the constraint solver's concurrency
-	// within each module.
-	SolverWorkers int
 	// Memo, when non-nil, lets per-module solves replay
 	// content-addressed component summaries.
 	Memo *solve.Memo
-	// Trace, when non-nil, receives one span per scheduled module
-	// (category "modgraph"), parented under TraceParent; the module's
-	// own solver components nest under its span. The runner schedules
-	// modules on worker goroutines, so the trace travels by option
-	// rather than by context.
-	Trace *obs.Trace
-	// TraceParent is the span ID module spans parent under (typically
-	// the request's analyze span).
-	TraceParent string
+	// MemoCounters, when non-nil, receives the component reuse
+	// accounting (replayed vs freshly solved) summed over every
+	// module's solves.
+	MemoCounters *solve.MemoCounters
 }
 
 // Finding is one rendered analysis error.
@@ -159,6 +149,17 @@ type parsed struct {
 // its import DAG. Duplicate module names are an error on the later
 // occurrence.
 func Analyze(sources []Source, opts Options) *Result {
+	return AnalyzeCtx(context.TODO(), sources, opts, nil)
+}
+
+// AnalyzeCtx is Analyze under a request's fault-containment plumbing:
+// ctx bounds every module's constraint solves and carries the
+// request's trace (each module gets a "module:NAME" span, category
+// "modgraph", under the span ctx names), and tr (when non-nil)
+// records which phase is executing. Modules run one after another on
+// the calling goroutine, so a deadline abort or panic reaches the
+// caller's faults guard attributed to that phase.
+func AnalyzeCtx(ctx context.Context, sources []Source, opts Options, tr *faults.Trace) *Result {
 	res := &Result{Modules: make(map[string]*ModuleResult)}
 
 	// Parse everything once to extract the import graph. The analysis
@@ -202,8 +203,10 @@ func Analyze(sources []Source, opts Options) *Result {
 	// Deterministic bottom-up order over the acyclic remainder.
 	res.Order = topoOrder(mods, names, cyclic)
 
-	run := newRunner(mods, cyclic, opts, res)
-	run.execute()
+	run := &runner{mods: mods, cyclic: cyclic, opts: opts, res: res}
+	for _, name := range res.Order {
+		run.analyze(ctx, tr, name)
+	}
 	return res
 }
 

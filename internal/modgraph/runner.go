@@ -3,101 +3,31 @@ package modgraph
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"localalias/internal/ast"
 	"localalias/internal/core"
 	"localalias/internal/effects"
+	"localalias/internal/faults"
 	"localalias/internal/obs"
 	"localalias/internal/qual"
 	"localalias/internal/types"
 )
 
-// runner executes the bottom-up pass. Each module runs after all its
-// (acyclic, present) dependencies; the per-module work is the
-// standard core pipeline plus summary export. Module results are
-// deterministic regardless of worker count because a module's inputs
-// are exactly its source, the options, and its dependencies'
+// runner executes the bottom-up pass in topological order. Each module
+// runs after all its (acyclic, present) dependencies; the per-module
+// work is the standard core pipeline plus summary export. A module's
+// inputs are exactly its source, the options, and its dependencies'
 // published APIs.
 type runner struct {
 	mods   map[string]*parsed
 	cyclic map[string]bool
 	opts   Options
 	res    *Result
-
-	mu sync.Mutex // guards res.Modules writes during parallel execution
-}
-
-func newRunner(mods map[string]*parsed, cyclic map[string]bool, opts Options, res *Result) *runner {
-	return &runner{mods: mods, cyclic: cyclic, opts: opts, res: res}
-}
-
-func (r *runner) execute() {
-	order := r.res.Order
-	if r.opts.Workers <= 1 || len(order) < 2 {
-		for _, name := range order {
-			r.analyze(name)
-		}
-		return
-	}
-
-	// Dependency-scheduled worker pool: a module enters the ready
-	// queue when its last unfinished dependency completes (atomic
-	// countdown, same shape as the solver's component scheduler).
-	pending := make(map[string]*int32, len(order))
-	dependents := make(map[string][]string)
-	for _, n := range order {
-		cnt := int32(0)
-		for _, d := range r.mods[n].deps {
-			if r.mods[d] != nil && !r.cyclic[d] {
-				cnt++
-				dependents[d] = append(dependents[d], n)
-			}
-		}
-		c := cnt
-		pending[n] = &c
-	}
-
-	ready := make(chan string, len(order))
-	for _, n := range order {
-		if atomic.LoadInt32(pending[n]) == 0 {
-			ready <- n
-		}
-	}
-
-	workers := r.opts.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var done int32
-	total := int32(len(order))
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for name := range ready {
-				r.analyze(name)
-				for _, d := range dependents[name] {
-					if atomic.AddInt32(pending[d], -1) == 0 {
-						ready <- d
-					}
-				}
-				if atomic.AddInt32(&done, 1) == total {
-					close(ready)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // depAPI returns the published API of dependency d, or nil when d is
 // missing, failed, or summaries are disabled.
 func (r *runner) depAPI(d string) *core.PackageAPI {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if mr := r.res.Modules[d]; mr != nil {
 		return mr.API
 	}
@@ -113,10 +43,7 @@ func (r *runner) depSigs(d string) *types.PkgSig {
 	if p == nil {
 		return nil
 	}
-	r.mu.Lock()
-	mr := r.res.Modules[d]
-	r.mu.Unlock()
-	if mr != nil && !mr.Failed() && mr.Module != nil && mr.Module.TInfo != nil {
+	if mr := r.res.Modules[d]; mr != nil && !mr.Failed() && mr.Module != nil && mr.Module.TInfo != nil {
 		return mr.Module.TInfo.Exports(d)
 	}
 	return sigsFromParse(d, p.prog)
@@ -124,14 +51,12 @@ func (r *runner) depSigs(d string) *types.PkgSig {
 
 // analyze runs one module with its dependencies' summaries in scope
 // and publishes the result.
-func (r *runner) analyze(name string) {
+func (r *runner) analyze(ctx context.Context, tr *faults.Trace, name string) {
 	p := r.mods[name]
 	mr := &ModuleResult{Name: name, Deps: p.deps}
 
-	// Per-module span: analyze runs on worker goroutines, so the
-	// parent is explicit (the request's analyze span), never the
-	// trace's default-parent stack.
-	span := r.opts.Trace.StartChild(r.opts.TraceParent, "module:"+name, "modgraph")
+	trace, parent := obs.SpanFromContext(ctx)
+	span := trace.StartChild(parent, "module:"+name, "modgraph")
 	defer func() {
 		outcome := "analyzed"
 		if mr.Err != nil {
@@ -166,41 +91,30 @@ func (r *runner) analyze(name string) {
 		}
 	}
 
-	m, err := core.LoadModuleWith(name, p.src.Text, sigs, nil)
+	r.res.Modules[name] = mr
+	m, err := core.LoadModuleWith(name, p.src.Text, sigs, tr)
 	mr.Module = m
 	if err != nil {
 		mr.Err = err
-		r.publish(mr)
 		return
 	}
-	// The module span becomes the parent of this module's solver
-	// component spans (solveParallel reads the trace from ctx).
-	ctx := obs.ContextWithSpan(context.Background(), r.opts.Trace, span.ID())
 	lr, err := m.AnalyzeLockingCtx(ctx, core.LockingOptions{
 		General:         r.opts.General,
 		NoParams:        r.opts.NoParams,
 		NoLets:          r.opts.NoLets,
-		SolverWorkers:   r.opts.SolverWorkers,
 		Memo:            r.opts.Memo,
+		MemoCounters:    r.opts.MemoCounters,
 		ImportEffects:   importEffects(effs, r.opts.Havoc),
 		ImportTransfers: importTransfers(trans, r.opts.Havoc),
 		ExportAPI:       !r.opts.Havoc,
-	}, nil)
+	}, tr)
 	if err != nil {
 		mr.Err = fmt.Errorf("%s: %w", name, err)
-		r.publish(mr)
 		return
 	}
 	mr.Locking = lr
 	mr.API = lr.API
 	mr.Outcome = distill(m, lr)
-	r.publish(mr)
-}
-
-func (r *runner) publish(mr *ModuleResult) {
-	r.mu.Lock()
-	r.res.Modules[mr.Name] = mr
-	r.mu.Unlock()
 }
 
 // importEffects returns nil (full havoc) in havoc mode, and an empty

@@ -39,14 +39,13 @@ type AppMetrics struct {
 	SolveUnifications         *Counter
 	SolveRecanonicalizations  *Counter
 
-	// Partitioned-solver accounting, recorded once per parallel solve
-	// (sequential solves don't touch these). SolveComponentSize abuses
+	// Partitioned-solver accounting, recorded once per memoized solve
+	// (whole-graph solves don't touch these). SolveComponentSize abuses
 	// the duration-based histogram for a unitless quantity: buckets
 	// are powers of two of "component size" (variables + intersection
 	// nodes + conditionals), rendered as nanosecond bounds.
 	SolveComponents    *Counter
 	SolveComponentSize *Histogram
-	SolveWorkersInUse  *Gauge
 
 	// Component-summary memo accounting (the solver's incremental
 	// layer, see solve.Memo): probes that found a reusable component
@@ -95,7 +94,6 @@ func App() *AppMetrics {
 			SolveRecanonicalizations:  r.Counter("lna_solve_recanonicalizations_total", "Incremental re-canonicalization passes."),
 			SolveComponents:           r.Counter("lna_solve_components_total", "Connected components solved by partitioned solves."),
 			SolveComponentSize:        r.Histogram("lna_solve_component_size", "Partition component sizes (vars+inodes+conds; unitless power-of-two buckets).", componentSizeBounds),
-			SolveWorkersInUse:         r.Gauge("lna_solve_workers_inuse", "Worker goroutines used by the most recent partitioned solve."),
 			SolveMemoHits:             r.Counter("lna_solve_memo_hits_total", "Component-summary memo hits."),
 			SolveMemoMisses:           r.Counter("lna_solve_memo_misses_total", "Component-summary memo misses."),
 			SolveMemoEvictions:        r.Counter("lna_solve_memo_evictions_total", "Component-summary memo LRU evictions."),
@@ -161,11 +159,10 @@ var componentSizeBounds = []time.Duration{
 	1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20,
 }
 
-// RecordSolvePartition records one partitioned solve: how many worker
-// goroutines ran it and the size of each component.
-func (a *AppMetrics) RecordSolvePartition(workers int, componentSizes []int) {
+// RecordSolvePartition records one partitioned solve: the size of
+// each component.
+func (a *AppMetrics) RecordSolvePartition(componentSizes []int) {
 	a.SolveComponents.Add(uint64(len(componentSizes)))
-	a.SolveWorkersInUse.Set(int64(workers))
 	for _, s := range componentSizes {
 		a.SolveComponentSize.Observe(time.Duration(s))
 	}

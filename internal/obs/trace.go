@@ -115,8 +115,8 @@ const maxTraceSpans = 4096
 // trace's default parent until End, so plain Add calls made inside
 // the window (pipeline phases, cache probes) nest under it without
 // knowing about span IDs at all. Concurrent work — hedged backend
-// attempts, solver components on worker goroutines — uses StartChild
-// or AddChild with an explicit parent instead, because a shared
+// attempts — and work whose parent comes from a context use
+// StartChild with an explicit parent instead, because a shared
 // mutable "current parent" is meaningless across goroutines.
 type Trace struct {
 	id     string
@@ -177,19 +177,6 @@ func (t *Trace) Add(name, cat string, start time.Time, dur time.Duration, kv ...
 	}
 	t.mu.Lock()
 	t.addLocked(Span{ID: NewSpanID(), Parent: t.parent, Name: name, Cat: cat, Start: start, Dur: dur, Args: kv})
-	t.mu.Unlock()
-}
-
-// AddChild records one completed span under an explicit parent span
-// ID, bypassing the default-parent stack. This is the form for spans
-// recorded from worker goroutines, where "current parent" is owned by
-// some other control flow.
-func (t *Trace) AddChild(parent, name, cat string, start time.Time, dur time.Duration, kv ...string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.addLocked(Span{ID: NewSpanID(), Parent: parent, Name: name, Cat: cat, Start: start, Dur: dur, Args: kv})
 	t.mu.Unlock()
 }
 

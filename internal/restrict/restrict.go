@@ -48,11 +48,6 @@ type CheckOptions struct {
 	// restricted copy is used (matching C99 and the inference rule).
 	// The default is the strict Figure 2 rule.
 	Liberal bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency when the system needs a full solve (conditional
-	// constraints present); <= 1 solves sequentially. Results are
-	// identical either way.
-	SolverWorkers int
 	// Memo, when non-nil, lets the solve replay content-addressed
 	// component summaries recorded by earlier solves (and record new
 	// ones). Replay is byte-identical to solving fresh.
@@ -80,9 +75,7 @@ func CheckWith(tinfo *types.Info, diags *source.Diagnostics, opts CheckOptions) 
 		out.UsedFigure5 = true
 		out.Violations = solve.Check(sys)
 	} else {
-		sol := solve.SolveOpts(nil, sys, solve.Options{
-			Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
-		})
+		sol := solve.SolveOpts(nil, sys, solve.Options{Memo: opts.Memo, Counters: opts.MemoCounters})
 		out.Violations = sol.Violations()
 		// Checking consumes nothing else from the solution, so its
 		// pooled storage can go straight back for the next module.
@@ -118,10 +111,6 @@ type Options struct {
 	// Params additionally treats ref-typed parameters as restrict
 	// candidates.
 	Params bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency; <= 1 solves sequentially. Results are identical
-	// either way.
-	SolverWorkers int
 	// Memo, when non-nil, lets the solve replay content-addressed
 	// component summaries recorded by earlier solves (and record new
 	// ones). Replay is byte-identical to solving fresh.
@@ -144,9 +133,7 @@ func Infer(tinfo *types.Info, diags *source.Diagnostics, opts Options) *InferRes
 		InferRestrictParams:   opts.Params,
 		LiberalRestrictEffect: true,
 	})
-	sol := solve.SolveOpts(nil, res.Sys, solve.Options{
-		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
-	})
+	sol := solve.SolveOpts(nil, res.Sys, solve.Options{Memo: opts.Memo, Counters: opts.MemoCounters})
 	out := &InferResult{Infer: res, Solution: sol}
 
 	// Index the fired conditionals by the location pair their ActUnify

@@ -131,19 +131,10 @@ type AnalyzeRequest struct {
 	// nil — the default — disables tracing at zero cost.
 	Obs *obs.Trace `json:"-"`
 
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency for this request; <= 1 solves sequentially. It is an
-	// execution knob, not an analysis option: results are identical at
-	// any worker count (the partitioned solver is deterministic), so
-	// it stays off the wire and out of the cache key — a response
-	// computed at one setting is a valid cache hit for any other. The
-	// daemon injects its -solver-workers setting here.
-	SolverWorkers int `json:"-"`
-
 	// Memo, when non-nil, lets every solve of this request reuse (and
 	// record) content-addressed component summaries — the incremental
-	// engine's substrate. Like SolverWorkers it is an execution knob
-	// outside the cache key: replaying a summary is byte-identical to
+	// engine's substrate. It is an execution knob outside the cache
+	// key: replaying a summary is byte-identical to
 	// solving fresh, so a response computed with any memo state is a
 	// valid hit for any other. The daemon injects its process-wide
 	// memo here.

@@ -22,8 +22,8 @@ import (
 // wire field of AnalyzeOptions — including any added later — is
 // covered automatically, so a new option can never silently alias
 // cache entries across option values. Execution knobs that do not
-// affect response bytes (SolverWorkers and the other `json:"-"`
-// request fields) stay outside the key by the same rule; the reflect
+// affect response bytes (the memo and the other `json:"-"` request
+// fields) stay outside the key by the same rule; the reflect
 // guard test in cache_test.go pins both halves of this contract.
 //
 // Requests carrying a Generate closure have no content to hash until

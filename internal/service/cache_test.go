@@ -224,11 +224,10 @@ func TestCacheKeyRequestFieldContract(t *testing.T) {
 	// field, so a response computed at one setting is a valid hit for
 	// any other.
 	exempt := map[string]string{
-		"Generate":      "source synthesis seam; requests carrying it are never cached",
-		"Obs":           "tracing does not change canonical bytes",
-		"SolverWorkers": "partitioned solver is deterministic at any worker count",
-		"Memo":          "component-summary replay is byte-identical to a fresh solve",
-		"MemoCounters":  "request-scoped accounting output, not an analysis input",
+		"Generate":     "source synthesis seam; requests carrying it are never cached",
+		"Obs":          "tracing does not change canonical bytes",
+		"Memo":         "component-summary replay is byte-identical to a fresh solve",
+		"MemoCounters": "request-scoped accounting output, not an analysis input",
 	}
 	rt := reflect.TypeOf(AnalyzeRequest{})
 	for i := 0; i < rt.NumField(); i++ {

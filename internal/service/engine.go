@@ -72,10 +72,9 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 	tr.SetSpans(req.Obs)
 	// Open the request's root span and install it in the context: the
 	// fault guard derives its context from ctx, so the span reaches
-	// every ctx-aware layer below (the parallel solver's per-component
-	// spans, the modgraph runner) without new parameters, and the
-	// phase spans faults.Trace emits parent under it via the trace's
-	// default-parent stack.
+	// every ctx-aware layer below (the modgraph runner's per-module
+	// spans) without new parameters, and the phase spans faults.Trace
+	// emits parent under it via the trace's default-parent stack.
 	span := req.Obs.StartSpan("analyze", "request")
 	ctx = obs.ContextWithSpan(ctx, req.Obs, span.ID())
 	start := time.Now()
@@ -102,7 +101,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 		}
 		if req.Options.MultiModule {
 			var err error
-			mod, locking, program, stats, xmodule, err = analyzeMultiModule(ctx, req, name, src, mode)
+			mod, locking, program, stats, xmodule, err = analyzeMultiModule(ctx, tr, req, name, src, mode)
 			return err
 		}
 		m, err := core.LoadModuleTraced(name, src, tr)
@@ -116,18 +115,16 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 		switch mode {
 		case ModeCheck:
 			r := restrict.CheckWith(m.TInfo, m.Diags, restrict.CheckOptions{
-				Liberal:       req.Options.Liberal,
-				SolverWorkers: req.SolverWorkers,
-				Memo:          req.Memo,
-				MemoCounters:  req.MemoCounters,
+				Liberal:      req.Options.Liberal,
+				Memo:         req.Memo,
+				MemoCounters: req.MemoCounters,
 			})
 			check = &CheckReport{OK: r.OK(), UsedFigure5: r.UsedFigure5}
 		case ModeInfer:
 			r := m.InferRestrictWith(restrict.Options{
-				Params:        req.Options.Params,
-				SolverWorkers: req.SolverWorkers,
-				Memo:          req.Memo,
-				MemoCounters:  req.MemoCounters,
+				Params:       req.Options.Params,
+				Memo:         req.Memo,
+				MemoCounters: req.MemoCounters,
 			})
 			rep := &InferReport{
 				Candidates: len(r.Infer.Candidates),
@@ -149,10 +146,9 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			r.Solution.Release()
 		case ModeConfine, ModeQual:
 			lr, err := m.AnalyzeLockingCtx(ctx, core.LockingOptions{
-				General:       req.Options.General,
-				SolverWorkers: req.SolverWorkers,
-				Memo:          req.Memo,
-				MemoCounters:  req.MemoCounters,
+				General:      req.Options.General,
+				Memo:         req.Memo,
+				MemoCounters: req.MemoCounters,
 			}, tr)
 			if err != nil {
 				return err

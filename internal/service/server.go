@@ -63,21 +63,13 @@ type ServerOptions struct {
 	// LogFormat selects the access-log rendering: LogText (default)
 	// or LogJSON.
 	LogFormat string
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency within each analyzed module (<= 1 = sequential, the
-	// default). Orthogonal to Workers, which parallelizes across
-	// modules: a mostly-idle daemon serving huge single modules wants
-	// SolverWorkers up; a saturated corpus daemon wants it at 1.
-	// Responses are byte-identical at any setting, so it does not
-	// participate in the result cache key.
-	SolverWorkers int
 	// MemoEntries bounds the process-wide solve memo backing the
 	// incremental engine: content-addressed component summaries that
 	// let a re-submitted (or lightly edited) module replay most of its
 	// constraint solving (0 = solve.DefaultMemoEntries; negative
 	// disables incremental re-analysis entirely). Replay is
-	// byte-identical to solving fresh, so — like SolverWorkers — it
-	// stays out of the result cache key.
+	// byte-identical to solving fresh, so it stays out of the result
+	// cache key.
 	MemoEntries int
 	// TraceEntries bounds the ring buffer of recently completed traces
 	// served by /v1/trace/{id} (0 = DefaultTraceEntries; negative
@@ -331,7 +323,6 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (data []byt
 		return data, key, true, nil, nil, nil
 	}
 	defer release()
-	req.SolverWorkers = s.opts.SolverWorkers
 	if s.inc != nil {
 		resp, inc = s.inc.Analyze(ctx, req, s.opts.RequestTimeout)
 	} else {

@@ -85,7 +85,6 @@ func TestMetricsEndpointShape(t *testing.T) {
 		"lna_solve_total",
 		"lna_solve_components_total",
 		"lna_solve_component_size",
-		"lna_solve_workers_inuse",
 	} {
 		metrics, _ := doc["metrics"].([]any)
 		found := false

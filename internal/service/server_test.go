@@ -566,3 +566,40 @@ func TestServerSurvivesDeepNesting(t *testing.T) {
 		t.Fatalf("request after the deep one: resp=%+v err=%v", resp, err)
 	}
 }
+
+// TestServerMultiModuleIncrementalHeader: the daemon's X-Lna-Incremental
+// header reports whole-program reuse. An identical multi_module
+// resubmission is a result-cache hit, so the re-analysis is driven by a
+// comment-only re-save of the request module: new bytes miss the cache,
+// and every module's components replay from the memo.
+func TestServerMultiModuleIncrementalHeader(t *testing.T) {
+	_, c := newTestServer(t, service.ServerOptions{Workers: 1})
+	mods := drivergen.XStack(2)
+	leaf := mods[len(mods)-1]
+	req := service.AnalyzeRequest{
+		Module:  leaf.Name,
+		Source:  leaf.Source,
+		Options: service.AnalyzeOptions{Mode: service.ModeQual, MultiModule: true},
+	}
+	for _, m := range mods[:len(mods)-1] {
+		req.Options.Libraries = append(req.Options.Libraries,
+			service.LibrarySource{Name: m.Name, Source: m.Source})
+	}
+
+	_, first, err := c.Analyze(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cache != "miss" || first.Incremental == "" || first.Incremental == service.IncrementalFull {
+		t.Fatalf("first sighting: cache=%q incremental=%q, want a miss that solved fresh", first.Cache, first.Incremental)
+	}
+	resaved := req
+	resaved.Source = "// re-saved\n" + leaf.Source
+	_, second, err := c.Analyze(context.Background(), &resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Cache != "miss" || second.Incremental != service.IncrementalFull {
+		t.Fatalf("comment-only re-save: cache=%q incremental=%q, want miss/full", second.Cache, second.Incremental)
+	}
+}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"localalias/internal/core"
+	"localalias/internal/faults"
 	"localalias/internal/modgraph"
-	"localalias/internal/obs"
 	"localalias/internal/solve"
 	"localalias/internal/source"
 )
@@ -21,25 +21,26 @@ import (
 // Returns the request module (for diagnostics rendering), its locking
 // report, the transformed program (confine mode), the aggregated
 // solver stats, and the X-Lna-Xmodule summary value.
-func analyzeMultiModule(ctx context.Context, req *AnalyzeRequest, name, src, mode string) (*core.Module, *LockingReport, string, solve.Stats, string, error) {
+func analyzeMultiModule(ctx context.Context, tr *faults.Trace, req *AnalyzeRequest, name, src, mode string) (*core.Module, *LockingReport, string, solve.Stats, string, error) {
 	sources := make([]modgraph.Source, 0, len(req.Options.Libraries)+1)
 	for _, lib := range req.Options.Libraries {
 		sources = append(sources, modgraph.Source{Name: lib.Name, Text: lib.Source})
 	}
 	sources = append(sources, modgraph.Source{Name: name, Text: src})
 
-	// The DAG runner schedules modules on its own goroutines, so the
-	// trace travels by explicit option rather than context: every
-	// per-module span parents under the request's analyze span.
-	trace, parent := obs.SpanFromContext(ctx)
-	xres := modgraph.Analyze(sources, modgraph.Options{
-		Workers:       req.SolverWorkers,
-		General:       req.Options.General,
-		SolverWorkers: req.SolverWorkers,
-		Memo:          req.Memo,
-		Trace:         trace,
-		TraceParent:   parent,
-	})
+	// ctx carries the request's deadline and analyze span into every
+	// module's analysis, which runs on this goroutine under the
+	// engine's fault guard. tr names the phase a failure happened in
+	// and sums each phase over the modules, but is detached from the
+	// request's spans: each module has its own span already, and a
+	// phase span per module multiplies every retained trace by the
+	// module count (+19% peak heap on the fleet_xmodule workload).
+	tr.SetSpans(nil)
+	xres := modgraph.AnalyzeCtx(ctx, sources, modgraph.Options{
+		General:      req.Options.General,
+		Memo:         req.Memo,
+		MemoCounters: req.MemoCounters,
+	}, tr)
 
 	var stats solve.Stats
 	analyzed := 0

@@ -4,8 +4,11 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"localalias/internal/drivergen"
+	"localalias/internal/faults"
+	"localalias/internal/solve"
 )
 
 func xstackRequest(mode string) *AnalyzeRequest {
@@ -51,6 +54,41 @@ func TestMultiModuleRequest(t *testing.T) {
 	}
 	if !strings.HasPrefix(resp.Xmodule, "modules=5;analyzed=5;failed=0") {
 		t.Errorf("Xmodule = %q", resp.Xmodule)
+	}
+}
+
+// TestMultiModuleIncrementalReplay checks every module's solves report
+// into the request's memo counters: an identical resubmission through
+// the incremental engine replays every component of the whole program.
+func TestMultiModuleIncrementalReplay(t *testing.T) {
+	inc := NewIncremental(solve.NewMemo(0))
+	_, first := inc.Analyze(context.Background(), xstackRequest(ModeQual), 0)
+	if first.Solved == 0 {
+		t.Fatalf("first sighting: %+v, want fresh solves counted", first)
+	}
+	_, second := inc.Analyze(context.Background(), xstackRequest(ModeQual), 0)
+	if second.Disposition != IncrementalFull || second.Solved != 0 || second.Replayed == 0 {
+		t.Fatalf("identical resubmission: %+v, want full replay", second)
+	}
+}
+
+// TestMultiModuleDeadline checks the request deadline reaches every
+// module's solves: under an expired deadline the whole-program pass
+// aborts cooperatively in a solve phase, rather than running to
+// completion or being abandoned by the guard's backstop.
+func TestMultiModuleDeadline(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	resp := AnalyzeBounded(ctx, xstackRequest(ModeQual), 0)
+	f := resp.Failure
+	if f == nil || f.Kind != faults.KindTimeout {
+		t.Fatalf("failure = %+v, want a timeout", f)
+	}
+	if f.Phase != faults.PhaseSolve && f.Phase != faults.PhaseConfineSolve {
+		t.Errorf("timeout attributed to phase %q, want a solve phase", f.Phase)
+	}
+	if strings.Contains(f.Message, "abandoned") {
+		t.Errorf("timeout came from the abandonment backstop: %s", f.Message)
 	}
 }
 

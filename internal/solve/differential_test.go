@@ -121,7 +121,7 @@ func randomCondSystem(seed int64) *effects.System {
 
 // buildRandomCondInto adds one random constraint cluster — fresh
 // variables, fresh locations, conditionals over both — to sys. The
-// parallel differential tests call it several times into one system
+// memo differential tests call it several times into one system
 // to get a naturally multi-component graph.
 func buildRandomCondInto(sys *effects.System, r *rand.Rand) {
 	ls := sys.Locs

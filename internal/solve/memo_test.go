@@ -2,32 +2,89 @@ package solve_test
 
 // Differential tests for the component-summary memo (solve.Memo): a
 // memoized solve — cold (populating) or warm (replaying) — must be
-// indistinguishable from the sequential solver, exactly as the
-// partitioned solver is: identical per-variable atom lists, identical
-// violations, identical Stats, same fired-cond sets. On top of that,
-// the memo's whole point is position independence: an identical
+// indistinguishable from the sequential solver: identical
+// per-variable atom lists, identical violations, identical Stats,
+// same fired-cond sets. On top of that, the memo's whole point is position independence: an identical
 // program whose source merely shifted (a comment added above it) must
 // replay every component without solving anything.
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"localalias/internal/core"
 	"localalias/internal/effects"
+	"localalias/internal/faults"
 	"localalias/internal/infer"
+	"localalias/internal/locs"
 	"localalias/internal/progen"
 	"localalias/internal/solve"
 )
 
-// solveMemoized runs SolveOpts with the given memo and 4 workers,
-// returning the result and the per-run reuse counters.
+// randomClusterSystem builds k independent random constraint clusters
+// in one system — disjoint variables and locations per cluster, so the
+// propagation graph has several connected components and the memo
+// path genuinely partitions.
+func randomClusterSystem(seed int64, k int) *effects.System {
+	ls := locs.NewStore()
+	sys := effects.NewSystem(ls)
+	for i := 0; i < k; i++ {
+		r := rand.New(rand.NewSource(seed*1009 + int64(i)))
+		buildRandomCondInto(sys, r)
+	}
+	return sys
+}
+
+// requireExactMatch asserts the partitioned result par is exactly the
+// sequential result: identical atom lists per variable, identical
+// violations (including diagnostic strings), identical stats.
+func requireExactMatch(t *testing.T, label string,
+	seqSys *effects.System, seq *solve.Result,
+	parSys *effects.System, par *solve.Result) bool {
+	t.Helper()
+	if seqSys.NumVars() != parSys.NumVars() {
+		t.Logf("%s: nondeterministic build: %d vs %d vars", label, seqSys.NumVars(), parSys.NumVars())
+		return false
+	}
+	if seq.Stats != par.Stats {
+		t.Logf("%s: stats differ\n sequential: %v\n memoized:   %v", label, seq.Stats, par.Stats)
+		return false
+	}
+	for v := 0; v < seqSys.NumVars(); v++ {
+		sa, pa := seq.Atoms(effects.Var(v)), par.Atoms(effects.Var(v))
+		if !reflect.DeepEqual(sa, pa) {
+			t.Logf("%s: var %d atoms differ\n sequential: %v\n memoized:   %v", label, v, sa, pa)
+			return false
+		}
+	}
+	sv, pv := seq.Violations(), par.Violations()
+	if !reflect.DeepEqual(sv, pv) {
+		t.Logf("%s: violations differ\n sequential: %v\n memoized:   %v", label, sv, pv)
+		return false
+	}
+	sf, pf := firedSet(seqSys, seq.Fired), firedSet(parSys, par.Fired)
+	if len(sf) != len(pf) {
+		t.Logf("%s: fired %d vs %d conds", label, len(sf), len(pf))
+		return false
+	}
+	for i := range sf {
+		if !pf[i] {
+			t.Logf("%s: cond %d fired only sequentially", label, i)
+			return false
+		}
+	}
+	return true
+}
+
+// solveMemoized runs SolveOpts with the given memo, returning the
+// result and the per-run reuse counters.
 func solveMemoized(sys *effects.System, memo *solve.Memo) (*solve.Result, *solve.MemoCounters) {
 	var c solve.MemoCounters
 	res := solve.SolveOpts(context.Background(), sys, solve.Options{
-		Workers:  4,
 		Memo:     memo,
 		Counters: &c,
 	})
@@ -211,26 +268,37 @@ func TestMemoEvictionFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestMemoStatsDeterministic repeats warm solves at several worker
-// counts and requires the wire-visible Stats to never wobble.
+// TestMemoStatsDeterministic repeats warm solves and requires the
+// wire-visible Stats to never wobble.
 func TestMemoStatsDeterministic(t *testing.T) {
 	memo := solve.NewMemo(0)
 	base, _ := solveMemoized(randomClusterSystem(9, 6), memo)
 	if base.Stats.Vars == 0 || base.Stats.AtomsPropagated == 0 {
 		t.Fatalf("implausibly empty stats: %v", base.Stats)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for rep := 0; rep < 3; rep++ {
-			var c solve.MemoCounters
-			got := solve.SolveOpts(context.Background(), randomClusterSystem(9, 6), solve.Options{
-				Workers:  workers,
-				Memo:     memo,
-				Counters: &c,
-			})
-			if got.Stats != base.Stats {
-				t.Fatalf("workers=%d rep=%d: stats differ\n cold: %v\n warm: %v",
-					workers, rep, base.Stats, got.Stats)
-			}
+	for rep := 0; rep < 4; rep++ {
+		got, _ := solveMemoized(randomClusterSystem(9, 6), memo)
+		if got.Stats != base.Stats {
+			t.Fatalf("rep=%d: stats differ\n cold: %v\n warm: %v", rep, base.Stats, got.Stats)
 		}
+	}
+}
+
+// TestMemoDeadlineAbort proves a deadline expiring while the memo path
+// solves its misses surfaces as a KindTimeout failure from the
+// caller's guard, not as a panic or a hang.
+func TestMemoDeadlineAbort(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already expired: the first miss aborts on its first check
+	tr := faults.NewTrace("m")
+	fail := faults.Run("m", tr, func() error {
+		solve.SolveOpts(ctx, randomClusterSystem(3, 6), solve.Options{Memo: solve.NewMemo(0)})
+		return nil
+	})
+	if fail == nil {
+		t.Fatal("expected a timeout failure, got success")
+	}
+	if fail.Kind != faults.KindTimeout {
+		t.Fatalf("expected %s, got %s (%s)", faults.KindTimeout, fail.Kind, fail.Message)
 	}
 }

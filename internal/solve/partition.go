@@ -6,14 +6,15 @@ import (
 )
 
 // This file partitions a propagation graph into its connected
-// components so SolveWorkers can solve them concurrently. The
-// partition must guarantee one property: no event in one component
-// can influence any event in another. Then a component's solo
-// execution is literally the subsequence of the sequential solver's
-// execution touching that component, and every observable — solution
-// sets, violations, per-group firing order, work counters — comes out
-// identical regardless of schedule (see docs/ALGORITHMS.md,
-// "Component-partitioned solving").
+// components, the memo's unit of reuse (see memo.go). The partition
+// must guarantee one property: no event in one component can
+// influence any event in another. Then a component's solo execution
+// is literally the subsequence of the whole-graph solver's execution
+// touching that component, and every observable — solution sets,
+// violations, per-group firing order, work counters — comes out
+// identical whether a component is solved alone, replayed from a
+// summary, or solved with the rest of the graph (see
+// docs/ALGORITHMS.md, "Component-partitioned solving").
 //
 // Two structures carry influence between variables:
 //
@@ -40,7 +41,7 @@ import (
 // Atoms over non-volatile classes have stable Find results for the
 // whole solve, so cross-component mentions of them are harmless.
 // Checks (NotIn/KindNotIn/PairNotIn) read the finished solution after
-// every worker has joined and never merge anything.
+// every component is drained and never merge anything.
 
 // partition is the component decomposition of one graph. Component
 // IDs are dense, assigned in order of each component's first variable;
@@ -114,8 +115,7 @@ func eachCondVar(c *effects.Cond, f func(v effects.Var)) {
 // touching no variable); solving then falls back to the sequential
 // path, which is always correct. When compOf is set the CSR
 // membership lists are populated even for ncomp == 1, so the memoized
-// solver can fingerprint a whole-module component; SolveWorkers still
-// only goes parallel for ncomp > 1.
+// solver can fingerprint a whole-module component.
 func newPartition(g *graph) *partition {
 	nvar := g.nvar
 	sys := g.sys

@@ -17,13 +17,13 @@ import (
 //
 // Solution sets are stored as bitsets over interned atom IDs; the
 // accessor methods translate back to effects.Atom values, always
-// under canonical (post-unification) locations. A sequential solve
-// uses one interner for every variable; a partitioned solve (see
-// SolveWorkers) interns per component, and partOf routes each
-// variable's reads to its component's table. Per-variable atom order
-// is identical either way — a component's intern order does not
-// depend on how the components were scheduled — so every accessor
-// returns byte-identical answers regardless of worker count.
+// under canonical (post-unification) locations. A whole-graph solve
+// uses one interner for every variable; a memoized solve (see
+// SolveOpts) interns per component, and partOf routes each variable's
+// reads to its component's table. Per-variable atom order is
+// identical either way — a component's intern order depends only on
+// the component — so every accessor returns byte-identical answers
+// with or without the memo.
 type Result struct {
 	sys  *effects.System
 	ls   *locs.Store
@@ -261,12 +261,12 @@ func (r *Result) hasKindLocResult(v effects.Var, k effects.Kind, loc locs.Loc) b
 //
 // One solver instance drains one unit of work: the whole graph
 // (myVars/myInodes nil — the sequential path) or a single connected
-// component of it (the partitioned path, where sets/left/right/watch
-// are shared arrays written only at indices the unit owns). A unit's
-// execution depends only on its own slice of the system, which is
-// what makes the partitioned schedule reproduce the sequential
-// solver's per-variable results exactly (see docs/ALGORITHMS.md,
-// "Component-partitioned solving").
+// component of it (the memo's partitioned path, where
+// sets/left/right/watch are shared arrays written only at indices the
+// unit owns). A unit's execution depends only on its own slice of the
+// system, which is what makes the partitioned path reproduce the
+// whole-graph solver's per-variable results exactly (see
+// docs/ALGORITHMS.md, "Component-partitioned solving").
 
 type solver struct {
 	g  *graph
@@ -349,40 +349,7 @@ type qitem struct {
 // of the O(n) possible location unifications triggers O(n) of
 // re-propagation, for the stated O(n²) bound.
 func Solve(sys *effects.System) *Result {
-	return SolveWorkers(nil, sys, 1)
-}
-
-// SolveCtx is Solve bounded by a context: the worklist loop checks
-// ctx's deadline every few thousand steps and aborts via
-// faults.CheckDeadline when it expires. It must run under a
-// faults.Run/RunBounded guard when ctx can expire; a nil ctx (or one
-// that never expires) makes it identical to Solve.
-func SolveCtx(ctx context.Context, sys *effects.System) *Result {
-	return SolveWorkers(ctx, sys, 1)
-}
-
-// SolveWorkers is SolveCtx with a parallelism knob: workers > 1
-// partitions the propagation graph into connected components and
-// solves them concurrently on at most that many goroutines. The
-// result — solution sets, violations, firing order per interacting
-// group, and every Stats counter — is identical to the sequential
-// solver's; workers ≤ 1 (or an unpartitionable system) runs the
-// sequential path. Like SolveCtx it must run under a faults guard
-// when ctx can expire; worker panics and deadline aborts are
-// re-thrown on the calling goroutine with the worker's stack.
-func SolveWorkers(ctx context.Context, sys *effects.System, workers int) *Result {
-	sc := getScratch()
-	g := newGraph(sys, sc)
-	if workers > 1 {
-		if p := newPartition(g); p.ncomp > 1 {
-			res := solveParallel(ctx, sys, g, p, workers, sc)
-			putScratch(sc)
-			return res
-		}
-	}
-	res := solveSequential(ctx, sys, g, sc)
-	putScratch(sc)
-	return res
+	return SolveOpts(nil, sys, Options{})
 }
 
 // deadlineStride is how many propagation steps pass between deadline
@@ -466,9 +433,9 @@ func (s *solver) attachScratch(sc *scratch, nlocs int) {
 }
 
 // forVars calls f for every variable of this solver's unit, in
-// ascending order — the same relative order the sequential solver
-// visits them in, which is what keeps per-variable intern order
-// schedule-independent.
+// ascending order — the same relative order the whole-graph solver
+// visits them in, which is what keeps per-variable intern order the
+// same on both paths.
 func (s *solver) forVars(f func(v int32)) {
 	if s.myVars == nil {
 		for v := int32(0); int(v) < s.g.nvar; v++ {

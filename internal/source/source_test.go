@@ -3,6 +3,7 @@ package source
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestPositionResolution(t *testing.T) {
@@ -192,5 +193,55 @@ func TestRenderAll(t *testing.T) {
 	out := ds.RenderAll()
 	if strings.Count(out, "let x = 1;") != 2 {
 		t.Errorf("both excerpts must show the line:\n%s", out)
+	}
+}
+
+// TestExcerptClipsLongLine: a diagnostic on a very long line echoes a
+// bounded window around its span, marks each cut with "…", keeps the
+// caret under the span's first character, and stays valid UTF-8 when a
+// cut lands inside a multi-byte character. (Caret padding counts bytes,
+// as columns do, so the caret check is for ASCII lines only.)
+func TestExcerptClipsLongLine(t *testing.T) {
+	long := strings.Repeat("(", 1_000_000) + "1" + strings.Repeat(")", 1_000_000)
+	mb := strings.Repeat("⊤", 400) + "x" + strings.Repeat("⊤", 400)
+	for _, tc := range []struct {
+		name, line     string
+		start, end     int
+		leadCut, trail bool
+	}{
+		{"middle", long, 1020, 1021, true, true},
+		{"start", long, 0, 5, false, true},
+		{"end", long, len(long) - 1, len(long), true, false},
+		{"multibyte", mb, strings.IndexByte(mb, 'x'), strings.IndexByte(mb, 'x') + 1, true, true},
+	} {
+		f := NewFile("p.mc", tc.line+"\n")
+		d := &Diagnostic{File: f, Span: Span{Start: Pos(tc.start), End: Pos(tc.end)},
+			Severity: Error, Phase: "parse", Message: "nesting too deep"}
+		out := Excerpt(d)
+		if len(out) >= 1024 {
+			t.Errorf("%s: excerpt is %d bytes, want under 1 KB", tc.name, len(out))
+		}
+		if !utf8.ValidString(out) {
+			t.Errorf("%s: excerpt is not valid UTF-8", tc.name)
+		}
+		lines := strings.Split(out, "\n")
+		if len(lines) != 3 {
+			t.Fatalf("%s: excerpt shape: %q", tc.name, out)
+		}
+		src := []rune(strings.TrimPrefix(lines[1], "    "))
+		if got := strings.HasPrefix(string(src), "…"); got != tc.leadCut {
+			t.Errorf("%s: leading cut mark = %v, want %v", tc.name, got, tc.leadCut)
+		}
+		if got := strings.HasSuffix(string(src), "…"); got != tc.trail {
+			t.Errorf("%s: trailing cut mark = %v, want %v", tc.name, got, tc.trail)
+		}
+		if tc.line == mb {
+			continue
+		}
+		caret := strings.IndexByte(lines[2], '^') - 4
+		want, _ := utf8.DecodeRuneInString(tc.line[tc.start:])
+		if caret < 0 || caret >= len(src) || src[caret] != want {
+			t.Errorf("%s: caret at column %d does not sit under %q:\n%s", tc.name, caret, want, out)
+		}
 	}
 }
